@@ -14,15 +14,15 @@ import bisect
 import csv
 import io
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
+from typing import Iterable, Iterator
 
 from .marginals import (
-    MarginalFamily,
     ObservationDesign,
     all_words,
     check_projective,
@@ -34,14 +34,21 @@ from .mra import (
     CoefficientVector,
     ProjectivityError,
     SolverError,
-    basis_keys,
+    basis_forms,
     build_basis,
     decompose_marginals,
     marginal_residual,
     synthesize,
     verify_dimensions,
 )
-from .wavelets import WaveletFunction, marginal_wavelet, wavelet, wavelet_chain
+from .wavelets import (
+    WaveletFunction,
+    chain_terms,
+    cycle_terms,
+    marginal_wavelet,
+    wavelet,
+    wavelet_chain,
+)
 from .words import Chain, Word, delete, format_chain, restrict
 
 EXIT_OK = 0
@@ -72,15 +79,6 @@ class RunConfig:
     allow_large_n: bool = False
     uniform: bool = False
     inject_corruption: bool = False
-    workers: int = 1
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("RANKMRA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _fail(code: int, message: str) -> int:
@@ -88,16 +86,23 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _write_text(config: RunConfig, text: str) -> int:
-    if config.output is None:
-        sys.stdout.write(text)
-        return EXIT_OK
+def _write_lines(config: RunConfig, lines: Iterable[str]) -> int:
+    """Write lines to --output, or to stdout without it, as they come."""
     try:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if config.output is None:
+            out = nullcontext(sys.stdout)
+        else:
+            out = open(config.output, "w", encoding="utf-8")
+        with out as fh:
+            for line in lines:
+                fh.write(line)
     except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write {config.output}: {exc}")
+        return _fail(EXIT_IO, f"cannot write {config.output or 'stdout'}: {exc}")
     return EXIT_OK
+
+
+def _write_text(config: RunConfig, text: str) -> int:
+    return _write_lines(config, (text,))
 
 
 def _load_design(config: RunConfig) -> ObservationDesign:
@@ -122,6 +127,29 @@ def _load_coefficients(path: str) -> CoefficientVector:
         raise ValueError(f"malformed coefficient JSON: {exc}") from exc
 
 
+def _basis_lines(n: int, expand: bool) -> Iterator[str]:
+    """The output of `basis`: one wavelet function, or wavelet chain, a line."""
+    if expand:
+        yield f"id: {format_chain(wavelet(CycleForm(()), n).chain)}\n"
+        for form in basis_forms(n):
+            yield f"{form}: {format_chain(wavelet(form, n).chain)}\n"
+        return
+    # the blocks of multi-cycle forms recur across forms, so they are kept;
+    # one-cycle forms skip the cache, which would otherwise hold every cycle
+    # up to length n
+    shared = cache(cycle_terms)
+    # letters are encoded as chr(1..n), clear of " ", "+" and "-"; as
+    # n <= MAX_N < 10, a word's text is its digits
+    digits = {a: str(a) for a in range(1, n + 1)}
+    for form in basis_forms(n):
+        if len(form.cycles) == 1:
+            terms = cycle_terms(form.cycles[0])
+        else:
+            terms = chain_terms(form.cycles, shared)
+        line = " ".join([("+" if s > 0 else "-") + word for word, s in terms])
+        yield f"{form}: {line.translate(digits)}\n"
+
+
 def cmd_basis(config: RunConfig) -> int:
     n = config.n
     if n is None or n < 2:
@@ -133,17 +161,7 @@ def cmd_basis(config: RunConfig) -> int:
             EXIT_USAGE,
             f"expanding all wavelets at n = {n} is expensive; pass --allow-large-n",
         )
-    taus = [CycleForm.parse(key) for key in basis_keys(n) if key != "id"]
-    if config.expand and config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            list(pool.map(lambda form: wavelet(form, n), taus))
-    buf = io.StringIO()
-    if config.expand:
-        buf.write(f"id: {format_chain(wavelet(CycleForm(()), n).chain)}\n")
-    for form in taus:
-        chain = wavelet(form, n).chain if config.expand else wavelet_chain(form, n).chain
-        buf.write(f"{form}: {format_chain(chain)}\n")
-    return _write_text(config, buf.getvalue())
+    return _write_lines(config, _basis_lines(n, config.expand))
 
 
 def _marginal_from_coefficients(c: CoefficientVector, subset, n: int) -> Chain:
@@ -441,7 +459,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         allow_large_n=args.allow_large_n,
         uniform=getattr(args, "uniform", False),
         inject_corruption=getattr(args, "inject_corruption", False),
-        workers=_thread_count(),
     )
 
 

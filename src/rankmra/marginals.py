@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import permutations as iter_permutations
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .words import Chain, Word, content, delete_set
 
@@ -259,13 +259,6 @@ def read_rankings_csv(path: str, n: int) -> list[tuple[frozenset[int], Word]]:
                 raise ValueError(f"line {lineno}: {exc}") from exc
             records.append((content(word), word))
     return records
-
-
-def write_rankings_csv(path: str, words: Sequence[Word]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for w in words:
-            writer.writerow(list(w.letters))
 
 
 def uniform_distribution(n: int) -> Chain:

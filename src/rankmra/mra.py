@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import comb, factorial
+from typing import Iterator
 
 import numpy as np
 import scipy.linalg
@@ -25,7 +26,7 @@ from .marginals import (
 from .perms import (
     CycleForm,
     Permutation,
-    derangement_number,
+    derangement_forms,
     derangements,
     eig_class_dimensions,
     scale_dimension,
@@ -66,12 +67,15 @@ def _subsets_by_size(n: int) -> list[frozenset[int]]:
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
+def basis_forms(n: int) -> Iterator[CycleForm]:
+    """Cycle forms of the non-identity basis wavelets, in basis order."""
+    for subset in _subsets_by_size(n):
+        yield from derangement_forms(subset)
+
+
 def basis_keys(n: int) -> list[str]:
     """Cycle-form keys of the full wavelet basis, in basis order."""
-    keys = ["id"]
-    for subset in _subsets_by_size(n):
-        keys.extend(str(t.cycle_form()) for t in derangements(subset, n))
-    return keys
+    return ["id"] + [str(form) for form in basis_forms(n)]
 
 
 class WaveletBasis:
@@ -134,9 +138,8 @@ def build_basis(n: int) -> WaveletBasis:
     if not 2 <= n <= MAX_BASIS_N:
         raise ValueError(f"n must be in 2..{MAX_BASIS_N}, got {n}")
     elements = [(Permutation.identity(n), wavelet(Permutation.identity(n)))]
-    for subset in _subsets_by_size(n):
-        for t in derangements(subset, n):
-            elements.append((t, wavelet(t)))
+    for form in basis_forms(n):
+        elements.append((form.to_permutation(n), wavelet(form, n)))
     return WaveletBasis(n, elements)
 
 
@@ -225,7 +228,7 @@ def design_keys(design: ObservationDesign) -> list[str]:
     of every subset in the design closure, in basis order."""
     keys = ["id"]
     for subset in design.closure():
-        keys.extend(str(t.cycle_form()) for t in derangements(subset, design.n))
+        keys.extend(str(form) for form in derangement_forms(subset))
     return keys
 
 

@@ -8,11 +8,8 @@ fixed points omitted.  Young tableaux are used at dimension level only.
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations as iter_permutations
 from math import comb, factorial
 from typing import Iterable, Sequence
-
-from .words import Word
 
 
 class Permutation:
@@ -75,9 +72,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images, start=1))
 
-    def apply_word(self, w: Word) -> Word:
-        return Word._make(tuple(self.images[a - 1] for a in w.letters), w.n)
-
     def cycle_form(self) -> "CycleForm":
         return standard_cycle_form(self)
 
@@ -109,6 +103,14 @@ class CycleForm:
             raise ValueError("cycles are not disjoint")
         self.cycles = tuple(normalized)
         self._hash = hash(self.cycles)
+
+    @classmethod
+    def _make(cls, cycles: tuple[tuple[int, ...], ...]) -> "CycleForm":
+        """Fast path for cycles already in standard form; skips validation."""
+        form = object.__new__(cls)
+        form.cycles = cycles
+        form._hash = hash(cycles)
+        return form
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CycleForm) and self.cycles == other.cycles
@@ -179,6 +181,37 @@ def derangement_number(k: int) -> int:
     return (k - 1) * (derangement_number(k - 1) + derangement_number(k - 2))
 
 
+def derangement_forms(items: Iterable[int]) -> list[CycleForm]:
+    """Standard cycle forms of every permutation whose support is exactly items.
+
+    Built cycle by cycle, in lexicographic order of their text: each cycle
+    opens with the least unused item, and extending it (" ") sorts before
+    closing it (")").  That order is numeric only for one-digit items, so
+    larger labels are sorted by text afterwards.  The empty set yields the
+    identity form alone.
+    """
+    items = tuple(sorted(set(items)))
+    if not items:
+        return [CycleForm(())]
+    out: list[CycleForm] = []
+
+    def grow(done: tuple, cycle: tuple, rest: tuple) -> None:
+        for i, a in enumerate(rest):
+            grow(done, cycle + (a,), rest[:i] + rest[i + 1 :])
+        if len(cycle) < 2 or len(rest) == 1:
+            return
+        if rest:
+            grow(done + (cycle,), rest[:1], rest[1:])
+        else:
+            out.append(CycleForm._make(done + (cycle,)))
+
+    if len(items) >= 2:
+        grow((), items[:1], items[1:])
+    if items[-1] > 9:
+        out.sort(key=str)
+    return out
+
+
 def derangements(items: Iterable[int], n: int | None = None) -> list[Permutation]:
     """All permutations of S_n whose support is exactly the given set.
 
@@ -190,19 +223,7 @@ def derangements(items: Iterable[int], n: int | None = None) -> list[Permutation
         n = max(items) if items else 1
     if items and (items[0] < 1 or items[-1] > n):
         raise ValueError(f"items {items} outside 1..{n}")
-    if not items:
-        return [Permutation.identity(n)]
-    if len(items) < 2:
-        return []
-    out = []
-    for images in iter_permutations(items):
-        if all(v != a for a, v in zip(items, images)):
-            full = list(range(1, n + 1))
-            for a, v in zip(items, images):
-                full[a - 1] = v
-            out.append(Permutation(tuple(full)))
-    out.sort(key=lambda t: str(standard_cycle_form(t)))
-    return out
+    return [form.to_permutation(n) for form in derangement_forms(items)]
 
 
 class YoungTableau:

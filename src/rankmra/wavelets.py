@@ -1,10 +1,13 @@
 """Wavelet chains and wavelet functions for incomplete rankings.
 
-A wavelet chain x_tau is generated per cycle by the star-elimination loop
+The paper generates a wavelet chain x_tau per cycle by star elimination
 (insert a star between consecutive cycle letters, repeatedly replace the
-star with the largest right-hand neighbor by a diamond product) and cycles
-are concatenated.  Embedding a chain by contiguous extensions yields the
-wavelet function psi_tau on full rankings.
+star with the largest right-hand neighbor by a diamond product) and
+concatenates the cycles.  That generator is kept as `_cycle_chain`, the
+reference the closed form is tested against; chains are built from the
+closed form, which runs each cycle's sign ladder backwards.  Embedding a
+chain by contiguous extensions yields the wavelet function psi_tau on full
+rankings.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from math import factorial
 
 from .marginals import all_words, contiguous_extensions, extensions
 from .perms import CycleForm, Permutation, standard_cycle_form
-from .words import Chain, Word, concat, content, diamond
+from .words import Chain, Word, _pruned, content, diamond
 
 FULL_UNIVERSE_CAP = 8
 
@@ -55,45 +58,93 @@ def _cycle_chain(cycle: tuple[int, ...], n: int) -> Chain:
     return chain
 
 
-def wavelet_chain(t: Permutation | CycleForm, n: int | None = None) -> WaveletChain:
-    """Run the generative algorithm on t (in standard cycle form).
+def cycle_terms(cycle: tuple[int, ...]) -> list[tuple[str, int]]:
+    """Signed words of the one-cycle chain, in lexicographic order.
 
-    The per-cycle chains are concatenated in standard-form order.  The
-    identity is rejected: it indexes the constant function, not a chain.
+    The sign ladder run backwards: starting from the cycle's minimum, each
+    peeled maximum goes back immediately right (+) or immediately left (-)
+    of its predecessor, giving 2^(k-1) words with coefficient +-1.  A word
+    is encoded as the string of chr(letter), so insertion is one replace
+    and string order is word order.
+    """
+    terms = [(chr(min(cycle)), 1)]
+    for top, before in reversed(_sign_ladder(cycle)):
+        before = chr(before)
+        right, left = before + chr(top), chr(top) + before
+        grown = []
+        for word, sign in terms:
+            grown.append((word.replace(before, right), sign))
+            grown.append((word.replace(before, left), -sign))
+        terms = grown
+    terms.sort()
+    return terms
+
+
+def chain_terms(cycles: tuple[tuple[int, ...], ...], block=cycle_terms) -> list[tuple[str, int]]:
+    """Signed words of the chain of a standard cycle form, encoded as in
+    cycle_terms and in lexicographic order: the nested product of its
+    one-cycle blocks in standard order.  `block` gives the one-cycle
+    terms, so that a caller can share them between forms."""
+    terms = block(cycles[0])
+    for cycle in cycles[1:]:
+        terms = [(a + b, s * t) for a, s in terms for b, t in block(cycle)]
+    return terms
+
+
+def _check_support(form: CycleForm, n: int) -> None:
+    support = form.support()
+    if support and not (min(support) >= 1 and max(support) <= n):
+        raise ValueError(f"support {sorted(support)} exceeds universe 1..{n}")
+
+
+def wavelet_chain(t: Permutation | CycleForm, n: int | None = None) -> WaveletChain:
+    """The wavelet chain of t (in standard cycle form) on words of 1..n.
+
+    The identity is rejected: it indexes the constant function, not a
+    chain.  So is a support outside 1..n.
     """
     form = t if isinstance(t, CycleForm) else standard_cycle_form(t)
     if n is None:
         n = t.n if isinstance(t, Permutation) else max(form.support(), default=0)
     if not form.cycles:
         raise ValueError("the identity permutation has no wavelet chain")
+    _check_support(form, n)
     key = (n, form.cycles)
     cached = _chain_cache.get(key)
     if cached is None:
-        cached = _cycle_chain(form.cycles[0], n)
-        for cycle in form.cycles[1:]:
-            cached = concat(cached, _cycle_chain(cycle, n))
-        _chain_cache[key] = cached
+        terms = {
+            Word._make(tuple(map(ord, word)), n): sign for word, sign in chain_terms(form.cycles)
+        }
+        cached = _chain_cache[key] = Chain._make(terms, n)
     return WaveletChain(form, cached)
+
+
+def _embed(x: Chain, items: frozenset[int]) -> Chain:
+    """Sum of c times the indicator of the contiguous extensions of w into
+    the rankings of items, over the terms c*w of x, built in one dict."""
+    out: dict = {}
+    for w, c in x.terms.items():
+        for v in contiguous_extensions(w, items):
+            s = out.get(v, 0) + c
+            if _pruned(s):
+                out[v] = s
+            else:
+                out.pop(v, None)
+    return Chain._make(out, x.n)
 
 
 def embed(x: Chain) -> Chain:
     """Send each word to the sum of full rankings containing it contiguously."""
-    full = frozenset(range(1, x.n + 1))
-    out = Chain.zero(x.n)
-    for w, c in x.terms.items():
-        out = out + c * Chain.indicator(contiguous_extensions(w, full), x.n)
-    return out
+    return _embed(x, frozenset(range(1, x.n + 1)))
 
 
 def embed_into(x: Chain, items) -> Chain:
     """Contiguous-extension embedding into the rankings of a subset."""
     items = frozenset(items)
-    out = Chain.zero(x.n)
-    for w, c in x.terms.items():
+    for w in x.terms:
         if not content(w) <= items:
             raise ValueError(f"word {w} has content outside {sorted(items)}")
-        out = out + c * Chain.indicator(contiguous_extensions(w, items), x.n)
-    return out
+    return _embed(x, items)
 
 
 def naive_embed(x: Chain) -> Chain:
@@ -119,8 +170,7 @@ def wavelet(t: Permutation | CycleForm, n: int | None = None) -> WaveletFunction
         n = t.n
     if n > FULL_UNIVERSE_CAP:
         raise ValueError(f"full rankings are materialized only for n <= {FULL_UNIVERSE_CAP}")
-    if form.support() and max(form.support()) > n:
-        raise ValueError(f"support {sorted(form.support())} exceeds universe 1..{n}")
+    _check_support(form, n)
     key = (n, form.cycles)
     cached = _wavelet_cache.get(key)
     if cached is None:

@@ -10,12 +10,16 @@ import pytest
 
 from rankmra import (
     CoefficientVector,
+    CycleForm,
     ObservationDesign,
     Word,
     build_basis,
+    format_chain,
     restrict,
     synthesize,
+    wavelet_chain,
 )
+from rankmra import wavelets as wavelets_module
 from rankmra.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "s4_basis.txt"
@@ -62,6 +66,21 @@ def test_basis_guards(capsys):
     code, out, _ = run(capsys, "basis", "--n", "8")
     assert code == 0
     assert len(out.splitlines()) == factorial(8) - 1
+
+
+def test_basis_chains_stream_without_chain_cache(tmp_path, capsys):
+    wavelets_module._chain_cache.clear()
+    code, out, _ = run(capsys, "basis", "--n", "6")
+    assert code == 0
+    assert wavelets_module._chain_cache == {}
+    out_path = tmp_path / "basis.txt"
+    assert run(capsys, "basis", "--n", "6", "--output", str(out_path))[0] == 0
+    assert out_path.read_bytes() == out.encode("utf-8")
+    lines = out.splitlines()
+    assert len(lines) == factorial(6) - 1
+    for line in lines:
+        key, _, text = line.partition(": ")
+        assert text == format_chain(wavelet_chain(CycleForm.parse(key), 6).chain)
 
 
 def test_basis_unwritable_output(capsys):

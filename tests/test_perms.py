@@ -73,6 +73,33 @@ def test_derangements_against_brute_force():
         assert len(derangements(range(1, k + 1))) == brute == derangement_number(k)
 
 
+def _filter_and_sort_derangements(items, n):
+    """Reference definition: filter all permutations of items for fixed
+    points, then sort by standard-cycle-form text."""
+    items = sorted(items)
+    if not items:
+        return [Permutation.identity(n)]
+    out = []
+    for images in permutations(items):
+        if all(v != a for a, v in zip(items, images)):
+            full = list(range(1, n + 1))
+            for a, v in zip(items, images):
+                full[a - 1] = v
+            out.append(Permutation(tuple(full)))
+    out.sort(key=lambda t: str(standard_cycle_form(t)))
+    return out
+
+
+def test_derangements_match_filter_and_sort_definition():
+    n = 7
+    for mask in range(1 << n):
+        items = [a for a in range(1, n + 1) if mask >> (a - 1) & 1]
+        assert derangements(items, n) == _filter_and_sort_derangements(items, n), items
+    # two-digit labels: text order is no longer numeric order
+    for items in ([3, 9, 10, 12], [1, 2, 10, 11, 20], [8, 9, 10]):
+        assert derangements(items, 20) == _filter_and_sort_derangements(items, 20), items
+
+
 def test_derangement_recurrence_and_binomial_identity():
     assert derangement_number(2) == 1
     for k in range(2, 12):

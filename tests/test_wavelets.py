@@ -6,6 +6,8 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rankmra import (
     Chain,
@@ -27,8 +29,9 @@ from rankmra import (
     wavelet_chain,
 )
 from rankmra.marginals import all_words
-from rankmra.perms import derangement_number
-from rankmra.words import format_chain, parse_chain
+from rankmra.perms import derangement_forms, derangement_number, standard_cycle_form
+from rankmra.wavelets import _cycle_chain
+from rankmra.words import concat, format_chain, parse_chain
 
 
 def w(text: str, n: int) -> Word:
@@ -57,6 +60,49 @@ def test_wavelet_chain_examples():
     )
     with pytest.raises(ValueError):
         wavelet_chain(form("id"), 3)
+
+
+def star_elimination_chain(tau: CycleForm, n: int) -> Chain:
+    """The paper's generator: star elimination per cycle, then concatenation."""
+    x = _cycle_chain(tau.cycles[0], n)
+    for cycle in tau.cycles[1:]:
+        x = concat(x, _cycle_chain(cycle, n))
+    return x
+
+
+def assert_matches_star_elimination(tau: CycleForm, n: int) -> None:
+    x = wavelet_chain(tau, n).chain
+    expected = star_elimination_chain(tau, n)
+    assert x == expected, str(tau)
+    assert list(x.terms) == sorted(expected.terms), str(tau)
+
+
+def test_closed_form_matches_star_elimination_exhaustive():
+    # every derangement at n <= 6, and every one-cycle chain on {1..7}
+    for n in range(2, 7):
+        for subset in subsets_of(n, range(2, n + 1)):
+            for tau in derangement_forms(subset):
+                assert_matches_star_elimination(tau, n)
+    for tau in derangement_forms(range(1, 8)):
+        if tau.cycle_count() == 1:
+            assert_matches_star_elimination(tau, 7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.permutations(range(1, 9)))
+def test_closed_form_matches_star_elimination_random_n8(images):
+    tau = standard_cycle_form(Permutation(images))
+    assume(tau.cycles)
+    assert_matches_star_elimination(tau, 8)
+
+
+def test_wavelet_chain_rejects_support_outside_universe():
+    with pytest.raises(ValueError, match="exceeds universe"):
+        wavelet_chain(form("(5 6)"), 4)
+    with pytest.raises(ValueError, match="exceeds universe"):
+        wavelet_chain(form("(0 1)"), 4)
+    with pytest.raises(ValueError, match="exceeds universe"):
+        wavelet(form("(2 5)"), 4)
 
 
 def test_wavelet_chain_is_annihilated_by_deletions():
