@@ -39,13 +39,13 @@ from .mra import (
     decompose_marginals,
     marginal_residual,
     synthesize,
+    synthesize_marginals,
     verify_dimensions,
 )
 from .wavelets import (
     WaveletFunction,
     chain_terms,
     cycle_terms,
-    marginal_wavelet,
     wavelet,
     wavelet_chain,
 )
@@ -164,13 +164,6 @@ def cmd_basis(config: RunConfig) -> int:
     return _write_lines(config, _basis_lines(n, config.expand))
 
 
-def _marginal_from_coefficients(c: CoefficientVector, subset, n: int) -> Chain:
-    out = Chain.zero(n)
-    for key, value in c.coeffs.items():
-        out = out + value * marginal_wavelet(CycleForm.parse(key), subset, n)
-    return out
-
-
 def cmd_marginal(config: RunConfig) -> int:
     try:
         if config.design is not None:
@@ -209,7 +202,7 @@ def cmd_marginal(config: RunConfig) -> int:
                     return _fail(EXIT_USAGE, f"coefficients are for n={coeffs.n}, not {n}")
             else:
                 return _fail(EXIT_USAGE, "need --input, --uniform, or --dataset")
-            chains = {s: _marginal_from_coefficients(coeffs, s, n) for s in subsets}
+            chains = synthesize_marginals(coeffs, subsets)
     except OSError as exc:
         return _fail(EXIT_IO, str(exc))
     except ValueError as exc:
@@ -254,6 +247,8 @@ def cmd_decompose(config: RunConfig) -> int:
         return EXIT_PROJECTIVITY
     except SolverError as exc:
         return _fail(EXIT_RESIDUAL, str(exc))
+    except ValueError as exc:
+        return _fail(EXIT_USAGE, str(exc))
     residual = marginal_residual(fam, coeffs)
     print(f"fit residual (sup norm): {residual:.6g}", file=sys.stderr)
     if residual > tolerance:

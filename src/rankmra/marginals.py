@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import permutations as iter_permutations
 from math import factorial
@@ -225,17 +226,21 @@ def empirical_marginals(
 
     Repeated (subset, word) records accumulate counts; normalization is per
     subset.  Records outside the design, content mismatches, and design
-    subsets with no observations are all rejected.
+    subsets with no observations are all rejected.  Records are tallied
+    first and each distinct one is checked once, in first-seen order, so
+    the first bad record is the one reported.
     """
+    tally = Counter(
+        (s if isinstance(s, frozenset) else frozenset(s), w) for s, w in dataset
+    )
     counts: dict[frozenset[int], dict[Word, int]] = {s: {} for s in design}
-    for subset, word in dataset:
-        subset = frozenset(subset)
-        if subset not in counts:
+    for (subset, word), count in tally.items():
+        bucket = counts.get(subset)
+        if bucket is None:
             raise ValueError(f"record subset {sorted(subset)} not in design")
         if content(word) != subset:
             raise ValueError(f"word {word} does not rank subset {sorted(subset)}")
-        bucket = counts[subset]
-        bucket[word] = bucket.get(word, 0) + 1
+        bucket[word] = count
     per_subset = {}
     for subset, bucket in counts.items():
         total = sum(bucket.values())
@@ -246,18 +251,27 @@ def empirical_marginals(
 
 
 def read_rankings_csv(path: str, n: int) -> list[tuple[frozenset[int], Word]]:
-    """One ranking per line as comma-separated item ids, best first."""
+    """One ranking per line as comma-separated item ids, best first.
+
+    Each distinct row is validated once; its repeats share the first
+    occurrence's (content, word) pair.  A bad row is reported at its first
+    line, which is the one validated.
+    """
     records = []
+    parsed: dict[tuple[str, ...], tuple[frozenset[int], Word]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                letters = tuple(int(tok) for tok in row)
-                word = Word(letters, n)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from exc
-            records.append((content(word), word))
+            key = tuple(row)
+            record = parsed.get(key)
+            if record is None:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                try:
+                    word = Word(tuple(int(tok) for tok in row), n)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from exc
+                record = parsed[key] = (content(word), word)
+            records.append(record)
     return records
 
 

@@ -3,13 +3,22 @@
 Analysis is a dense linear solve against the (non-orthogonal) basis matrix;
 marginal-domain analysis assembles its system from closed-form wavelet
 marginals only, so it never materializes the full ranking space.
+
+The marginal system is solved by column-pivoted QR (LAPACK gelsy).  It is
+full rank and sparse but not well conditioned (about 7e4 on a 1498 x 1450
+system at n = 8).  QR keeps the error near cond * eps, as an SVD does, at
+under half its cost; the normal equations would square the condition
+number to about 5e9, too close to the 1e-9 agreement the coefficients are
+held to.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import comb, factorial
+from functools import lru_cache
+from itertools import permutations
+from math import comb, factorial, isfinite
 from typing import Iterator
 
 import numpy as np
@@ -27,16 +36,20 @@ from .perms import (
     CycleForm,
     Permutation,
     derangement_forms,
+    derangement_number,
     derangements,
     eig_class_dimensions,
     scale_dimension,
 )
-from .wavelets import WaveletFunction, marginal_wavelet, wavelet
-from .words import Chain, Word
+from .wavelets import WaveletFunction, wavelet, wavelet_chain
+from .words import Chain, Word, _pruned
 
 DEFAULT_SOLVE_N = 6
 MAX_BASIS_N = 8
 RESIDUAL_REL_TOL = 1e-9
+# entries of the dense basis matrix one scale past the default solve limit:
+# 7! x 7! (203 MB), the largest dense system the package builds in practice
+MAX_MARGINAL_ENTRIES = factorial(DEFAULT_SOLVE_N + 1) ** 2
 
 
 class ProjectivityError(ValueError):
@@ -51,25 +64,21 @@ class SolverError(RuntimeError):
     """Raised when a linear solve leaves an unexplained residual."""
 
 
+@lru_cache(maxsize=1 << 16)
+def _parse_key(key: str) -> CycleForm:
+    """The cycle form of a coefficient key, parsed once per key."""
+    return CycleForm.parse(key)
+
+
 def basis_sort_key(key: str) -> tuple:
     """Order coefficient keys by (support size, support, cycle-form string)."""
-    form = CycleForm.parse(key)
-    return (len(form.support()), tuple(sorted(form.support())), key)
-
-
-def _subsets_by_size(n: int) -> list[frozenset[int]]:
-    items = list(range(1, n + 1))
-    out = []
-    for mask in range(1, 1 << n):
-        sub = frozenset(items[i] for i in range(n) if mask >> i & 1)
-        if len(sub) >= 2:
-            out.append(sub)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    support = _parse_key(key).support()
+    return (len(support), tuple(sorted(support)), key)
 
 
 def basis_forms(n: int) -> Iterator[CycleForm]:
     """Cycle forms of the non-identity basis wavelets, in basis order."""
-    for subset in _subsets_by_size(n):
+    for subset in ObservationDesign([range(1, n + 1)], n).closure():
         yield from derangement_forms(subset)
 
 
@@ -152,8 +161,14 @@ class CoefficientVector:
     scope: str = "full"  # "full" or "design"
 
     def __post_init__(self):
-        for key in self.coeffs:
-            CycleForm.parse(key)  # validates
+        for key, value in self.coeffs.items():
+            support = _parse_key(key).support()  # validates the key
+            if support and not (min(support) >= 1 and max(support) <= self.n):
+                raise ValueError(
+                    f"coefficient key {key!r} has support outside 1..{self.n}"
+                )
+            if not isfinite(value):
+                raise ValueError(f"coefficient {key!r} is not finite: {value!r}")
         if self.scope not in ("full", "design"):
             raise ValueError(f"unknown scope {self.scope!r}")
 
@@ -174,7 +189,15 @@ class CoefficientVector:
 
     @classmethod
     def from_json(cls, payload: dict) -> "CoefficientVector":
-        coeffs = {entry["tau"]: float(entry["value"]) for entry in payload["coefficients"]}
+        coeffs = {}
+        seen = set()
+        for entry in payload["coefficients"]:
+            key = entry["tau"]
+            form = _parse_key(key)
+            if form in seen:
+                raise ValueError(f"duplicate coefficient key {key!r}")
+            seen.add(form)
+            coeffs[key] = float(entry["value"])
         return cls(coeffs, int(payload["n"]), payload.get("scope", "full"))
 
     def save(self, path: str) -> None:
@@ -223,28 +246,159 @@ def synthesize(c: CoefficientVector, basis: WaveletBasis) -> Chain:
     return basis.vector_to_chain(basis.matrix() @ vec)
 
 
-def design_keys(design: ObservationDesign) -> list[str]:
-    """Coefficient keys observable under a design: id plus every derangement
-    of every subset in the design closure, in basis order."""
-    keys = ["id"]
+def design_forms(design: ObservationDesign) -> list[CycleForm]:
+    """Cycle forms observable under a design: the identity plus every
+    derangement of every subset in the design closure, in basis order."""
+    forms = [CycleForm(())]
     for subset in design.closure():
-        keys.extend(str(form) for form in derangement_forms(subset))
-    return keys
+        forms.extend(derangement_forms(subset))
+    return forms
 
 
-def _marginal_system(design: ObservationDesign, keys: list[str]) -> tuple[np.ndarray, list[tuple[frozenset, Word]]]:
-    rows: list[tuple[frozenset, Word]] = []
-    for subset in design:
-        rows.extend((subset, w) for w in all_words(subset, design.n))
-    mat = np.zeros((len(rows), len(keys)))
-    row_pos = {pair: i for i, pair in enumerate(rows)}
-    for j, key in enumerate(keys):
-        form = CycleForm.parse(key)
-        for subset in design:
-            col_chain = marginal_wavelet(form, subset, design.n)
-            for w, value in col_chain.terms.items():
-                mat[row_pos[(subset, w)], j] = value
-    return mat, rows
+def design_keys(design: ObservationDesign) -> list[str]:
+    """Coefficient keys of design_forms."""
+    return [str(form) for form in design_forms(design)]
+
+
+def check_marginal_system(design: ObservationDesign) -> tuple[int, int]:
+    """Rows and columns of a design's marginal system, counted from the
+    subset sizes before anything is enumerated.
+
+    Rows: |A|! per design subset A.  Columns: 1 + D_|S| over the subsets S
+    of the closure, D_k being the number of derangements of k items.
+    A system with more than MAX_MARGINAL_ENTRIES entries raises ValueError.
+    The closure of a subset A alone holds |A|! - 1 derangements, so rows
+    times the largest |A|! bounds the size from below; it is tried first,
+    as listing the closure takes 2^|A| steps per subset.
+    """
+    rows = sum(factorial(len(s)) for s in design)
+    cols = factorial(max(len(s) for s in design))
+    at_least = rows * cols > MAX_MARGINAL_ENTRIES
+    if not at_least:
+        cols = 1 + sum(derangement_number(len(s)) for s in design.closure())
+    if rows * cols > MAX_MARGINAL_ENTRIES:
+        raise ValueError(
+            f"the marginal system of this design has {rows} rows and "
+            f"{'at least ' if at_least else ''}{cols} columns, more than the "
+            f"{MAX_MARGINAL_ENTRIES} entries of the dense basis matrix at "
+            f"n = {DEFAULT_SOLVE_N + 1}"
+        )
+    return rows, cols
+
+
+class _SubsetRows:
+    """The rankings of one subset in lexicographic order, and for each word
+    inside the subset the rows of its contiguous extensions, listed once
+    and shared by every key whose chain holds that word."""
+
+    __slots__ = ("items", "n", "words", "_row", "_extensions")
+
+    def __init__(self, items: frozenset[int], n: int):
+        self.items = items
+        self.n = n
+        self.words = all_words(items, n)
+        self._row = {w.letters: i for i, w in enumerate(self.words)}
+        self._extensions: dict[tuple[int, ...], list[int]] = {}
+
+    def extension_rows(self, letters: tuple[int, ...]) -> list[int]:
+        rows = self._extensions.get(letters)
+        if rows is None:
+            missing = sorted(self.items.difference(letters))
+            rows = []
+            for split in range(len(missing) + 1):
+                for left in permutations(missing, split):
+                    rest = [b for b in missing if b not in left]
+                    for right in permutations(rest):
+                        rows.append(self._row[left + letters + tuple(right)])
+            self._extensions[letters] = rows
+        return rows
+
+    def marginal(self, support: frozenset[int], terms: list) -> list[tuple[int, int]]:
+        """(row, value) pairs of the closed-form marginal on the subset of a
+        wavelet given by its support and chain_words, as marginal_wavelet
+        gives it: exact integers, zeros left out."""
+        n = self.n
+        if not support:
+            value = factorial(n) // factorial(len(self.items))
+            return [(row, value) for row in range(len(self.words))]
+        if not support <= self.items:
+            return []
+        k = len(support)
+        scale = factorial(n - k + 1) // factorial(len(self.items) - k + 1)
+        return [
+            (row, sign * scale)
+            for letters, sign in terms
+            for row in self.extension_rows(letters)
+        ]
+
+
+@lru_cache(maxsize=32)
+def _subset_rows(items: frozenset[int], n: int) -> _SubsetRows:
+    return _SubsetRows(items, n)
+
+
+def _chain_words(form: CycleForm, n: int) -> tuple[frozenset[int], list[tuple[tuple[int, ...], int]]]:
+    """Support and signed chain words (as letter tuples) of psi_form; the
+    identity has neither."""
+    if not form.cycles:
+        return frozenset(), []
+    terms = wavelet_chain(form, n).chain.terms
+    return form.support(), [(w.letters, sign) for w, sign in terms.items()]
+
+
+def synthesize_marginals(c: CoefficientVector, subsets) -> dict[frozenset[int], Chain]:
+    """Marginals on each subset of the function with coefficients c.
+
+    Sums the closed-form wavelet marginals key by key in coefficient order,
+    with Chain's pruning rule, so each result equals the Chain sum of
+    value * marginal_wavelet(key, subset) over the coefficients.
+    """
+    wavelets = [
+        (_chain_words(_parse_key(key), c.n), value) for key, value in c.coeffs.items()
+    ]
+    out = {}
+    for subset in subsets:
+        items = frozenset(subset)
+        if len(items) < 2 or not all(1 <= a <= c.n for a in items):
+            raise ValueError(
+                f"marginals are taken on subsets of size >= 2 within 1..{c.n}, "
+                f"not {sorted(items)}"
+            )
+        rows = _subset_rows(items, c.n)
+        acc: dict[int, float] = {}
+        for (support, terms), value in wavelets:
+            for row, count in rows.marginal(support, terms):
+                term = count * value
+                if not _pruned(term):
+                    continue
+                total = acc.get(row, 0) + term
+                if _pruned(total):
+                    acc[row] = total
+                else:
+                    acc.pop(row, None)
+        out[rows.items] = Chain._make({rows.words[row]: v for row, v in acc.items()}, c.n)
+    return out
+
+
+def _marginal_system(design: ObservationDesign, forms: list[CycleForm]) -> tuple[np.ndarray, list[_SubsetRows]]:
+    """The matrix of closed-form wavelet marginals: one column per form,
+    one row per ranking of each design subset, subsets in design order."""
+    blocks = [_subset_rows(subset, design.n) for subset in design]
+    row_idx: list[int] = []
+    col_idx: list[int] = []
+    values: list[int] = []
+    for j, form in enumerate(forms):
+        support, terms = _chain_words(form, design.n)
+        offset = 0
+        for block in blocks:
+            for row, value in block.marginal(support, terms):
+                row_idx.append(offset + row)
+                col_idx.append(j)
+                values.append(value)
+            offset += len(block.words)
+    mat = np.zeros((offset, len(forms)))
+    mat[row_idx, col_idx] = values
+    return mat, blocks
 
 
 def decompose_marginals(
@@ -254,25 +408,32 @@ def decompose_marginals(
 ) -> CoefficientVector:
     """Expand an observed marginal family over the design-observable wavelets.
 
-    The family must be projective at the given tolerance.  The system is
+    The design's system size is checked first (check_marginal_system), and
+    the family must be projective at the given tolerance.  The system is
     assembled from closed-form wavelet marginals (never from full-ranking
     vectors) and solved by least squares; a rank-deficient system for a
     valid design is an internal error and raises with diagnostics.
     """
+    design = fam.design
+    check_marginal_system(design)
     report = check_projective(fam, projectivity_tol)
     if not report.passed:
         raise ProjectivityError(report)
-    design = fam.design
-    keys = design_keys(design)
+    forms = design_forms(design)
+    keys = [str(form) for form in forms]
     if basis is not None:
         missing = [key for key in keys if key not in basis._index]
         if missing:
             raise ValueError(f"basis lacks keys {missing}")
-    mat, rows = _marginal_system(design, keys)
-    rhs = np.zeros(len(rows))
-    for i, (subset, w) in enumerate(rows):
-        rhs[i] = fam[subset](w)
-    coeffs, _, rank, _ = np.linalg.lstsq(mat, rhs, rcond=None)
+    mat, blocks = _marginal_system(design, forms)
+    rhs = np.array([fam[b.items](w) for b in blocks for w in b.words], dtype=float)
+    coeffs, _, rank, _ = scipy.linalg.lstsq(
+        mat,
+        rhs,
+        cond=np.finfo(float).eps * max(mat.shape),
+        check_finite=True,
+        lapack_driver="gelsy",
+    )
     if rank < len(keys):
         raise SolverError(
             f"marginal system rank {rank} below dimension {len(keys)} "
@@ -284,16 +445,15 @@ def decompose_marginals(
 
 
 def marginal_residual(fam: MarginalFamily, c: CoefficientVector) -> float:
-    """Sup-norm misfit between a family and the marginals of a synthesis."""
-    worst = 0.0
-    for subset in fam:
-        predicted = Chain.zero(fam.design.n)
-        for key, value in c.coeffs.items():
-            predicted = predicted + value * marginal_wavelet(
-                CycleForm.parse(key), subset, fam.design.n
-            )
-        worst = max(worst, float((predicted - fam[subset]).norm_inf()))
-    return worst
+    """Sup-norm misfit between a family and the marginals of a synthesis.
+
+    The predicted marginals come from synthesize_marginals, not from the
+    solved system, so an assembly fault shows here.
+    """
+    predicted = synthesize_marginals(c, fam)
+    return max(
+        (float((predicted[s] - fam[s]).norm_inf()) for s in fam), default=0.0
+    )
 
 
 def dezoom(f: Chain, k: int, basis: WaveletBasis, allow_large: bool = False) -> Chain:
@@ -313,7 +473,7 @@ def dezoom(f: Chain, k: int, basis: WaveletBasis, allow_large: bool = False) -> 
     kept = {
         key: value
         for key, value in c.coeffs.items()
-        if len(CycleForm.parse(key).support()) <= k
+        if len(_parse_key(key).support()) <= k
     }
     return synthesize(CoefficientVector(kept, basis.n, "full"), basis)
 

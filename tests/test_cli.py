@@ -322,3 +322,56 @@ def test_thread_cap_env_var(tmp_path, capsys, monkeypatch):
     assert run(capsys, "basis", "--n", "3", "--expand")[1] == baseline
     monkeypatch.setenv("RANKMRA_THREADS", "junk")
     assert run(capsys, "basis", "--n", "3", "--expand")[1] == baseline
+
+
+def _coefficient_commands(tmp_path, payload_text: str, n: int):
+    """marginal, synth and sample runs reading one coefficient file."""
+    path = tmp_path / "coeffs.json"
+    path.write_text(payload_text)
+    design = write_design(tmp_path, [[1, 2], [2, 3]], n)
+    return [
+        ("marginal", "--n", str(n), "--input", str(path), "--subset", "1,2"),
+        ("synth", "--input", str(path)),
+        ("sample", "--design", design, "--input", str(path), "--count", "5"),
+    ]
+
+
+def test_coefficient_file_with_nan_exits_2(tmp_path, capsys):
+    text = '{"n": 4, "coefficients": [{"tau": "id", "value": NaN}]}'
+    for argv in _coefficient_commands(tmp_path, text, 4):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "not finite" in err and out == ""
+
+
+def test_coefficient_file_with_key_outside_universe_exits_2(tmp_path, capsys):
+    text = json.dumps({"n": 4, "coefficients": [
+        {"tau": "id", "value": 1 / 24}, {"tau": "(5 6)", "value": 0.01},
+    ]})
+    for argv in _coefficient_commands(tmp_path, text, 4):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "outside 1..4" in err and out == ""
+
+
+def test_coefficient_file_with_duplicate_key_exits_2(tmp_path, capsys):
+    text = json.dumps({"n": 4, "coefficients": [
+        {"tau": "id", "value": 1 / 24},
+        {"tau": "(1 2)", "value": 0.01},
+        {"tau": "(1 2)", "value": 0.02},
+    ]})
+    for argv in _coefficient_commands(tmp_path, text, 4):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "duplicate" in err and out == ""
+
+
+def test_decompose_refuses_oversized_design(tmp_path, capsys):
+    # 7! + 2 rows by at least 7! columns: over the dense n = 7 matrix
+    design = write_design(tmp_path, [list(range(1, 8)), [1, 8]], 8)
+    data = tmp_path / "data.csv"
+    data.write_text("1,2,3,4,5,6,7\n8,1\n")
+    code, out, err = run(capsys, "decompose", "--input", str(data), "--design", design)
+    assert code == 2
+    assert "5042 rows" in err and "Traceback" not in err
+    assert out == ""

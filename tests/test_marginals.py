@@ -20,7 +20,7 @@ from rankmra import (
     restrict,
     uniform_distribution,
 )
-from rankmra.marginals import all_words
+from rankmra.marginals import all_words, read_rankings_csv
 
 
 def w(text: str, n: int) -> Word:
@@ -247,3 +247,59 @@ def test_empirical_monte_carlo_uniform_pair():
     fam = empirical_marginals(records, design)
     assert abs(fam[{1, 2}](w("12", 4)) - 0.5) < 0.05
     assert abs(fam[{1, 2}](w("21", 4)) - 0.5) < 0.05
+
+
+def test_read_rankings_csv_reports_first_bad_line(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("1,2,3\n" * 1000 + "1,2,2\n" + "1,2,3\n" + "1,2,2\n")
+    with pytest.raises(ValueError, match="^line 1001: letter 2 repeated"):
+        read_rankings_csv(str(path), 3)
+    path.write_text("2,1\n" * 1000 + "\n" + "1,9\n")
+    with pytest.raises(ValueError, match="^line 1002: letter 9 outside 1..4"):
+        read_rankings_csv(str(path), 4)
+
+
+def test_memoized_reader_and_tally_match_per_record_definition(tmp_path):
+    rng = random.Random(12)
+    n = 5
+    design = ObservationDesign([[1, 2], [2, 3, 4], [1, 3, 5], [1, 2, 3, 4, 5]], n)
+    lines = []
+    for _ in range(3000):
+        subset = list(rng.choice(design.subsets))
+        rng.shuffle(subset)
+        lines.append(",".join(map(str, subset)))
+    lines.insert(50, "")
+    lines.insert(900, " 4, 3,2")  # another text of the word "4,3,2"
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(lines) + "\n")
+
+    records = read_rankings_csv(str(path), n)
+    fam = empirical_marginals(records, design)
+
+    # the per-record definition: every line validated, counted one by one
+    counts = {s: {} for s in design}
+    for line in lines:
+        if not line:
+            continue
+        word = Word(tuple(int(tok) for tok in line.split(",")), n)
+        bucket = counts[frozenset(word.letters)]
+        bucket[word] = bucket.get(word, 0) + 1
+    assert [r[1] for r in records] == [
+        Word(tuple(int(tok) for tok in line.split(",")), n) for line in lines if line
+    ]
+    assert all(s == frozenset(word.letters) for s, word in records)
+    for s, bucket in counts.items():
+        total = sum(bucket.values())
+        assert fam[s] == Chain({word: c / total for word, c in bucket.items()}, n)
+        assert list(fam[s].terms) == list(bucket)  # first-seen order kept
+
+
+def test_empirical_marginals_reports_first_bad_record():
+    design = ObservationDesign([[1, 2], [2, 3]], 3)
+    good = ({1, 2}, w("12", 3))
+    records = [good] * 5 + [({1, 3}, w("13", 3))] + [({2, 3}, w("12", 3))]
+    with pytest.raises(ValueError, match=r"record subset \[1, 3\] not in design"):
+        empirical_marginals(records, design)
+    records = [good] * 5 + [({2, 3}, w("12", 3))] + [({1, 3}, w("13", 3))]
+    with pytest.raises(ValueError, match="word 12 does not rank subset"):
+        empirical_marginals(records, design)

@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import combinations
 from math import factorial
 
 import numpy as np
@@ -20,9 +21,11 @@ from rankmra import (
     decompose_marginals,
     derangements,
     dezoom,
+    empirical_marginals,
     exact_marginals,
     marginal,
     marginal_residual,
+    marginal_wavelet,
     synthesize,
     translate,
     uniform_distribution,
@@ -30,7 +33,12 @@ from rankmra import (
     wavelet,
 )
 from rankmra.marginals import all_words
-from rankmra.mra import basis_keys, design_keys
+from rankmra.mra import (
+    basis_keys,
+    check_marginal_system,
+    design_keys,
+    synthesize_marginals,
+)
 from rankmra.perms import Permutation
 from rankmra.words import parse_chain
 
@@ -111,8 +119,12 @@ def test_synthesize_examples(basis_for):
         CycleForm.parse("(1 3)"), 3
     ).chain
     assert (combo - direct).norm_inf() < 1e-12
+    # "(2 1)" parses to the form of "(1 2)" but is not the basis's key text
     with pytest.raises(KeyError):
-        synthesize(CoefficientVector({"(1 2 3 4)": 1.0}, 3), basis)
+        synthesize(CoefficientVector({"(2 1)": 1.0}, 3), basis)
+    # a key outside the universe cannot even be built
+    with pytest.raises(ValueError, match="outside 1..3"):
+        CoefficientVector({"(1 2 3 4)": 1.0}, 3)
 
 
 def test_round_trip_random(basis_for):
@@ -331,3 +343,121 @@ def test_coefficient_vector_json_round_trip(tmp_path):
     assert CoefficientVector.load(str(path)).coeffs == c.coeffs
     with pytest.raises(ValueError):
         CoefficientVector({"(1 2": 1.0}, 4)
+
+
+def test_coefficient_vector_rejects_meaningless_values():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="not finite"):
+            CoefficientVector({"id": 0.1, "(1 2)": bad}, 4)
+    with pytest.raises(ValueError, match="outside 1..4"):
+        CoefficientVector({"(5 6)": 1.0}, 4)
+    payload = {
+        "n": 4,
+        "coefficients": [{"tau": "(1 2)", "value": 1.0}, {"tau": "(1 2)", "value": 2.0}],
+    }
+    with pytest.raises(ValueError, match="duplicate"):
+        CoefficientVector.from_json(payload)
+    # two texts of one cycle form are one key
+    payload["coefficients"][1]["tau"] = "(2 1)"
+    with pytest.raises(ValueError, match="duplicate"):
+        CoefficientVector.from_json(payload)
+
+
+def _chain_sum_marginal(c: CoefficientVector, subset) -> Chain:
+    """The definition synthesize_marginals must reproduce exactly."""
+    out = Chain.zero(c.n)
+    for key, value in c.coeffs.items():
+        out = out + value * marginal_wavelet(CycleForm.parse(key), subset, c.n)
+    return out
+
+
+def test_synthesize_marginals_equals_chain_sum():
+    rng = random.Random(17)
+    for n in (4, 5, 6):
+        keys = basis_keys(n)
+        for _ in range(3):
+            # some coefficients tiny, so that pruning is exercised too
+            coeffs = {
+                key: rng.gauss(0, 1) * (1e-13 if rng.random() < 0.2 else 1.0)
+                for key in rng.sample(keys, len(keys) // 2)
+            }
+            c = CoefficientVector(coeffs, n)
+            subsets = [
+                frozenset(rng.sample(range(1, n + 1), size)) for size in range(2, n + 1)
+            ]
+            got = synthesize_marginals(c, subsets)
+            assert list(got) == subsets
+            for subset in subsets:
+                assert got[subset] == _chain_sum_marginal(c, subset)
+    # subsets of the universe of size >= 2 only, as for marginal_wavelet
+    for bad in ([1], [0, 1], [3, 5]):
+        with pytest.raises(ValueError, match="size >= 2 within 1..4"):
+            synthesize_marginals(CoefficientVector({"id": 1.0}, 4), [bad])
+
+
+def test_decompose_marginals_matches_svd_oracle():
+    # a noisy empirical family at n = 6, solved by QR, against the SVD
+    # least squares on a matrix built from marginal_wavelet
+    rng = random.Random(6)
+    n = 6
+    design = ObservationDesign([[1, 2, 3, 4], [3, 4, 5, 6], [1, 5, 6], [2, 6]], n)
+    weights = [rng.lognormvariate(0, 1) for _ in range(n)]
+    records = []
+    for _ in range(4000):
+        subset = rng.choice(design.subsets)
+        items, letters = sorted(subset), []
+        while items:
+            pick = rng.choices(items, [weights[a - 1] for a in items])[0]
+            items.remove(pick)
+            letters.append(pick)
+        records.append((subset, Word(tuple(letters), n)))
+    fam = empirical_marginals(records, design)
+    got = decompose_marginals(fam, projectivity_tol=1.0)
+
+    keys = design_keys(design)
+    rows = [(s, w) for s in design for w in all_words(s, n)]
+    row_pos = {pair: i for i, pair in enumerate(rows)}
+    mat = np.zeros((len(rows), len(keys)))
+    for j, key in enumerate(keys):
+        for s in design:
+            for w, value in marginal_wavelet(CycleForm.parse(key), s, n).terms.items():
+                mat[row_pos[(s, w)], j] = value
+    rhs = np.array([fam[s](w) for s, w in rows])
+    oracle, _, rank, _ = np.linalg.lstsq(mat, rhs, rcond=None)
+    assert rank == len(keys)
+    assert list(got.coeffs) == keys
+    diff = max(abs(got.get(key) - value) for key, value in zip(keys, oracle))
+    assert diff <= 1e-12 * float(np.max(np.abs(oracle)))
+
+
+def test_check_marginal_system_guard():
+    n = 8
+    subsets = [[1, 3, 5, 6, 7, 8], [3, 4, 5, 6, 7, 8], [1, 2, 7, 8], [1, 3, 5], [2, 4, 6, 8]]
+    design = ObservationDesign(subsets, n)
+    assert check_marginal_system(design) == (
+        2 * 720 + 24 + 6 + 24,
+        len(design_keys(design)),
+    )
+    # the whole n = 7 space fills the bound exactly: rows = cols = 7!
+    seven = ObservationDesign([range(1, 8)], n)
+    assert check_marginal_system(seven) == (5040, 5040)
+    # one more pair tips it over; the largest subset's 7! columns already
+    # show that, so the closure is not listed
+    over = ObservationDesign([range(1, 8), [1, 8]], n)
+    with pytest.raises(ValueError, match="5042 rows and at least 5040 columns"):
+        check_marginal_system(over)
+    fam = MarginalFamily(
+        {s: Chain.dirac(Word(tuple(sorted(s)), n)) for s in over}, over
+    )
+    with pytest.raises(ValueError, match="dense basis matrix"):
+        decompose_marginals(fam)
+    # every 6-subset of 1..8: 28 * 720 rows times 720 is within the bound,
+    # so the columns are counted exactly over the closure
+    sixes = ObservationDesign(combinations(range(1, 9), 6), n)
+    with pytest.raises(ValueError, match="20160 rows and 10655 columns"):
+        check_marginal_system(sixes)
+    # a 30-item subset is refused from its size alone: its closure
+    # (2^30 subsets) is never listed
+    big = ObservationDesign([range(1, 31)], 30)
+    with pytest.raises(ValueError, match="at least"):
+        check_marginal_system(big)
