@@ -43,6 +43,8 @@ from .mra import (
     verify_dimensions,
 )
 from .wavelets import (
+    LARGE_N,
+    MAX_N,
     WaveletFunction,
     chain_terms,
     cycle_terms,
@@ -58,8 +60,6 @@ EXIT_IO = 3
 EXIT_PROJECTIVITY = 4
 EXIT_RESIDUAL = 5
 
-MAX_N = 8
-LARGE_N = 7  # this scale and beyond sits behind --allow-large-n
 DEFAULT_EMPIRICAL_TOL = 0.1
 
 
@@ -123,7 +123,7 @@ def _load_coefficients(path: str) -> CoefficientVector:
         return CoefficientVector.load(path)
     except OSError as exc:
         raise OSError(f"cannot read coefficients {path}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed coefficient JSON: {exc}") from exc
 
 
@@ -258,23 +258,21 @@ def cmd_decompose(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     n = config.n
-    if n is None or not 2 <= n <= 6:
-        return _fail(EXIT_USAGE, "verify needs 2 <= n <= 6")
+    if n is None or not 2 <= n < LARGE_N:
+        return _fail(EXIT_USAGE, f"verify needs 2 <= n <= {LARGE_N - 1}")
     report = verify_dimensions(n)
-    basis = build_basis(n)
-    if config.inject_corruption:
-        # test hook: break one coefficient in a copied chain (never the cache)
-        tau, psi = basis.elements[1]
-        terms = dict(psi.chain.terms)
-        terms[next(iter(terms))] += 2
-        basis.elements[1] = (tau, WaveletFunction(psi.tau, Chain(terms, n)))
 
     failures = list(report.failures)
     checks = {"deletion-annihilation": 0, "value-support-law": 0, "zero-sum": 0}
-    for tau, psi in basis.elements:
-        form = tau.cycle_form()
+    for i, (_, psi) in enumerate(build_basis(n)):
+        form = psi.tau
         if not form.cycles:
             continue
+        if config.inject_corruption and i == 1:
+            # test hook: break one coefficient in a copied chain (never the cache)
+            terms = dict(psi.chain.terms)
+            terms[next(iter(terms))] += 2
+            psi = WaveletFunction(psi.tau, Chain(terms, n))
         support = form.support()
         x = wavelet_chain(form, n).chain
         for a in support:
@@ -379,7 +377,7 @@ def cmd_synth(config: RunConfig) -> int:
     basis = build_basis(n)
     try:
         chain = synthesize(coeffs, basis)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         return _fail(EXIT_USAGE, str(exc))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -41,15 +41,10 @@ from .perms import (
     eig_class_dimensions,
     scale_dimension,
 )
-from .wavelets import WaveletFunction, wavelet, wavelet_chain
+from .wavelets import LARGE_N, MAX_DENSE_ENTRIES, MAX_N, WaveletFunction, wavelet, wavelet_chain
 from .words import Chain, Word, _pruned
 
-DEFAULT_SOLVE_N = 6
-MAX_BASIS_N = 8
 RESIDUAL_REL_TOL = 1e-9
-# entries of the dense basis matrix one scale past the default solve limit:
-# 7! x 7! (203 MB), the largest dense system the package builds in practice
-MAX_MARGINAL_ENTRIES = factorial(DEFAULT_SOLVE_N + 1) ** 2
 
 
 class ProjectivityError(ValueError):
@@ -90,50 +85,52 @@ def basis_keys(n: int) -> list[str]:
 class WaveletBasis:
     """All n! wavelet functions of L(S_n), in deterministic order."""
 
-    def __init__(self, n: int, elements: list[tuple[Permutation, WaveletFunction]]):
+    def __init__(self, n: int, forms: list[CycleForm]):
         self.n = n
-        self.elements = elements
-        self.keys = [str(psi.tau) for _, psi in elements]
+        self.forms = forms
+        self.keys = [str(form) for form in forms]
         self._index = {key: i for i, key in enumerate(self.keys)}
-        self._words = all_words(range(1, n + 1), n)
-        self._word_pos = {w: i for i, w in enumerate(self._words)}
+        self._design = ObservationDesign([range(1, n + 1)], n)
         self._matrix: np.ndarray | None = None
         self._lu = None
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.forms)
 
-    def __iter__(self):
-        return iter(self.elements)
+    def __iter__(self) -> Iterator[tuple[Permutation, WaveletFunction]]:
+        for form in self.forms:
+            yield form.to_permutation(self.n), wavelet(form, self.n)
 
     def index_of(self, key: str) -> int:
         return self._index[key]
 
+    def _rows(self) -> _SubsetRows:
+        return _subset_rows(self._design.subsets[0], self.n)
+
     @property
     def words(self) -> list[Word]:
         """Full rankings in lexicographic order (the row index of matrices)."""
-        return self._words
+        return self._rows().words
 
     def chain_to_vector(self, f: Chain) -> np.ndarray:
-        vec = np.zeros(len(self._words))
+        rows = self._rows()
+        vec = np.zeros(len(rows.words))
         for w, c in f.terms.items():
-            pos = self._word_pos.get(w)
+            pos = rows._row.get(w.letters) if f.n == self.n else None
             if pos is None:
                 raise ValueError(f"word {w} is not a full ranking of 1..{self.n}")
             vec[pos] = c
         return vec
 
     def vector_to_chain(self, vec: np.ndarray) -> Chain:
-        return Chain({w: float(v) for w, v in zip(self._words, vec)}, self.n)
+        return Chain({w: float(v) for w, v in zip(self.words, vec)}, self.n)
 
     def matrix(self) -> np.ndarray:
-        """Columns are the wavelet functions over lexicographic full rankings."""
+        """Columns are the wavelet functions over lexicographic full rankings:
+        the marginal system of the one-subset design {1..n}."""
         if self._matrix is None:
-            mat = np.zeros((len(self._words), len(self.elements)))
-            for j, (_, psi) in enumerate(self.elements):
-                for w, c in psi.chain.terms.items():
-                    mat[self._word_pos[w], j] = c
-            self._matrix = mat
+            check_marginal_system(self._design)
+            self._matrix = _marginal_system(self._design, self.forms)[0]
         return self._matrix
 
     def lu(self):
@@ -143,13 +140,11 @@ class WaveletBasis:
 
 
 def build_basis(n: int) -> WaveletBasis:
-    """Materialize the wavelet basis of L(S_n) (2 <= n <= 8)."""
-    if not 2 <= n <= MAX_BASIS_N:
-        raise ValueError(f"n must be in 2..{MAX_BASIS_N}, got {n}")
-    elements = [(Permutation.identity(n), wavelet(Permutation.identity(n)))]
-    for form in basis_forms(n):
-        elements.append((form.to_permutation(n), wavelet(form, n)))
-    return WaveletBasis(n, elements)
+    """The wavelet basis of L(S_n) (2 <= n <= MAX_N); nothing is expanded
+    until it is used."""
+    if not 2 <= n <= MAX_N:
+        raise ValueError(f"n must be in 2..{MAX_N}, got {n}")
+    return WaveletBasis(n, [CycleForm(())] + list(basis_forms(n)))
 
 
 @dataclass
@@ -189,15 +184,29 @@ class CoefficientVector:
 
     @classmethod
     def from_json(cls, payload: dict) -> "CoefficientVector":
+        """Keys must be standard cycle forms as text and values JSON numbers;
+        anything else raises ValueError rather than being coerced."""
         coeffs = {}
         seen = set()
         for entry in payload["coefficients"]:
-            key = entry["tau"]
+            key, value = entry["tau"], entry["value"]
+            if not isinstance(key, str):
+                raise ValueError(f"coefficient key {key!r} is not a string")
             form = _parse_key(key)
             if form in seen:
                 raise ValueError(f"duplicate coefficient key {key!r}")
             seen.add(form)
-            coeffs[key] = float(entry["value"])
+            if str(form) != key:
+                raise ValueError(
+                    f"coefficient key {key!r} is not in standard cycle form; "
+                    f"write {str(form)!r}"
+                )
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"coefficient {key!r} is not a number: {value!r}")
+            try:
+                coeffs[key] = float(value)
+            except OverflowError:
+                raise ValueError(f"coefficient {key!r} is not finite") from None
         return cls(coeffs, int(payload["n"]), payload.get("scope", "full"))
 
     def save(self, path: str) -> None:
@@ -215,15 +224,17 @@ def decompose(f: Chain, basis: WaveletBasis, allow_large: bool = False) -> Coeff
     """Solve for the unique expansion of f in the wavelet basis.
 
     Dense LU with partial pivoting; the residual must not exceed
-    1e-9 times the sup norm of f.  Full solves above n = 6 sit behind
-    allow_large (they factor an n! by n! matrix).
+    1e-9 times the sup norm of f.  Full solves from n = LARGE_N on sit
+    behind allow_large (they factor an n! by n! matrix); at n = 8 the
+    matrix would exceed MAX_DENSE_ENTRIES and is refused before it is built.
     """
-    if basis.n > DEFAULT_SOLVE_N and not allow_large:
+    if basis.n >= LARGE_N and not allow_large:
         raise ValueError(
             f"full decomposition at n = {basis.n} needs allow_large=True"
         )
+    lu = basis.lu()
     vec = basis.chain_to_vector(f)
-    coeffs = scipy.linalg.lu_solve(basis.lu(), vec)
+    coeffs = scipy.linalg.lu_solve(lu, vec)
     residual = float(np.max(np.abs(basis.matrix() @ coeffs - vec)))
     bound = RESIDUAL_REL_TOL * float(np.max(np.abs(vec)))
     if residual > bound:
@@ -243,7 +254,11 @@ def synthesize(c: CoefficientVector, basis: WaveletBasis) -> Chain:
         if key not in basis._index:
             raise KeyError(f"coefficient key {key!r} not in basis")
         vec[basis.index_of(key)] = value
-    return basis.vector_to_chain(basis.matrix() @ vec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = basis.matrix() @ vec
+    if not np.isfinite(values).all():
+        raise ValueError("the coefficients synthesize to values beyond the float range")
+    return basis.vector_to_chain(values)
 
 
 def design_forms(design: ObservationDesign) -> list[CycleForm]:
@@ -266,22 +281,22 @@ def check_marginal_system(design: ObservationDesign) -> tuple[int, int]:
 
     Rows: |A|! per design subset A.  Columns: 1 + D_|S| over the subsets S
     of the closure, D_k being the number of derangements of k items.
-    A system with more than MAX_MARGINAL_ENTRIES entries raises ValueError.
+    A system with more than MAX_DENSE_ENTRIES entries raises ValueError.
     The closure of a subset A alone holds |A|! - 1 derangements, so rows
     times the largest |A|! bounds the size from below; it is tried first,
     as listing the closure takes 2^|A| steps per subset.
     """
     rows = sum(factorial(len(s)) for s in design)
     cols = factorial(max(len(s) for s in design))
-    at_least = rows * cols > MAX_MARGINAL_ENTRIES
+    at_least = rows * cols > MAX_DENSE_ENTRIES
     if not at_least:
         cols = 1 + sum(derangement_number(len(s)) for s in design.closure())
-    if rows * cols > MAX_MARGINAL_ENTRIES:
+    if rows * cols > MAX_DENSE_ENTRIES:
         raise ValueError(
-            f"the marginal system of this design has {rows} rows and "
+            f"the marginal system has {rows} rows and "
             f"{'at least ' if at_least else ''}{cols} columns, more than the "
-            f"{MAX_MARGINAL_ENTRIES} entries of the dense basis matrix at "
-            f"n = {DEFAULT_SOLVE_N + 1}"
+            f"{MAX_DENSE_ENTRIES} entries of the dense basis matrix at "
+            f"n = {LARGE_N}"
         )
     return rows, cols
 
@@ -514,10 +529,10 @@ class DimensionReport:
         return "\n".join(self.lines())
 
 
-def verify_dimensions(n: int, rank_limit: int = DEFAULT_SOLVE_N) -> DimensionReport:
-    """Check wavelet counts, basis rank (n <= rank_limit), and tableau sums."""
-    if not 2 <= n <= MAX_BASIS_N:
-        raise ValueError(f"n must be in 2..{MAX_BASIS_N}, got {n}")
+def verify_dimensions(n: int) -> DimensionReport:
+    """Check wavelet counts, basis rank (n < LARGE_N), and tableau sums."""
+    if not 2 <= n <= MAX_N:
+        raise ValueError(f"n must be in 2..{MAX_N}, got {n}")
     report = DimensionReport(n=n)
     total = 1
     for k in range(2, n + 1):
@@ -534,7 +549,7 @@ def verify_dimensions(n: int, rank_limit: int = DEFAULT_SOLVE_N) -> DimensionRep
     if total != factorial(n):
         report.failures.append(f"total {total} differs from {factorial(n)}")
 
-    if n <= rank_limit:
+    if n < LARGE_N:
         basis = build_basis(n)
         if len(basis) != factorial(n):
             report.failures.append(

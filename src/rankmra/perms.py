@@ -309,23 +309,6 @@ def eig(q: YoungTableau) -> int:
     return l if m % 2 == 0 else l - 1
 
 
-def format_partition(shape: Sequence[int]) -> str:
-    """Bracketed text form of a partition, e.g. "[3,1]"."""
-    return "[" + ",".join(str(part) for part in shape) + "]"
-
-
-def parse_partition(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text.startswith("[") or not text.endswith("]"):
-        raise ValueError(f"malformed partition {text!r}")
-    shape = tuple(int(tok) for tok in text[1:-1].split(","))
-    if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)) or (
-        shape and shape[-1] <= 0
-    ):
-        raise ValueError(f"{shape} is not a partition")
-    return shape
-
-
 def hook_dim(shape: Sequence[int]) -> int:
     """Number of standard Young tableaux of the given partition shape."""
     shape = tuple(shape)

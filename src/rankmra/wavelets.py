@@ -20,7 +20,10 @@ from .marginals import all_words, contiguous_extensions, extensions
 from .perms import CycleForm, Permutation, standard_cycle_form
 from .words import Chain, Word, _pruned, content, diamond
 
-FULL_UNIVERSE_CAP = 8
+# Scale policy of the package, imported by every module that needs it.
+MAX_N = 8  # the largest n whose full rankings are ever listed
+LARGE_N = 7  # the first n behind allow_large / --allow-large-n
+MAX_DENSE_ENTRIES = factorial(LARGE_N) ** 2  # every dense system, full or design
 
 _chain_cache: dict[tuple[int, tuple], Chain] = {}
 _wavelet_cache: dict[tuple[int, tuple], Chain] = {}
@@ -168,8 +171,8 @@ def wavelet(t: Permutation | CycleForm, n: int | None = None) -> WaveletFunction
         if not isinstance(t, Permutation):
             raise ValueError("universe size n required with a bare cycle form")
         n = t.n
-    if n > FULL_UNIVERSE_CAP:
-        raise ValueError(f"full rankings are materialized only for n <= {FULL_UNIVERSE_CAP}")
+    if n > MAX_N:
+        raise ValueError(f"full rankings are materialized only for n <= {MAX_N}")
     _check_support(form, n)
     key = (n, form.cycles)
     cached = _wavelet_cache.get(key)

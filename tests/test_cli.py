@@ -1,12 +1,17 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import csv
+import io
 import json
 import random
+import tempfile
+from contextlib import redirect_stderr
 from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankmra import (
     CoefficientVector,
@@ -294,6 +299,10 @@ def test_synth_malformed_input(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert run(capsys, "synth", "--input", str(path))[0] == 2
+    # well-formed JSON of the wrong shape
+    for text in ("[1]", '{"n": 3, "coefficients": [5]}', '{"n": [3], "coefficients": []}'):
+        path.write_text(text)
+        assert run(capsys, "synth", "--input", str(path))[0] == 2, text
     missing = tmp_path / "missing.json"
     assert run(capsys, "synth", "--input", str(missing))[0] == 3
 
@@ -364,6 +373,80 @@ def test_coefficient_file_with_duplicate_key_exits_2(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert "duplicate" in err and out == ""
+
+
+def test_coefficient_file_with_non_string_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps({"n": 3, "coefficients": [{"tau": 5, "value": 1.0}]}))
+    code, out, err = run(capsys, "synth", "--input", str(path))
+    assert code == 2
+    assert "not a string" in err and out == ""
+
+
+def test_coefficient_file_with_non_numeric_value_exits_2(tmp_path, capsys):
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps({"n": 3, "coefficients": [{"tau": "id", "value": [1]}]}))
+    code, out, err = run(capsys, "synth", "--input", str(path))
+    assert code == 2
+    assert "not a number" in err and out == ""
+
+
+def test_coefficient_file_with_noncanonical_key_exits_2(tmp_path, capsys):
+    # "(2 1)" names the form of "(1 2)" but is not its text
+    text = json.dumps({"n": 4, "coefficients": [
+        {"tau": "id", "value": 1 / 24}, {"tau": "(2 1)", "value": 0.01},
+    ]})
+    for argv in _coefficient_commands(tmp_path, text, 4):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "standard cycle form" in err and out == ""
+
+
+CANONICAL_KEYS = ["id", "(1 2)", "(1 3)", "(2 3)", "(1 2 3)", "(1 3 2)"]
+OTHER_KEYS = ["(2 1)", "(3 1)", "(2 3 1)", "(3 2 1)", " (1 2)", "(1 2)(3 4)", "(1 4)", "(1 2", "", "x"]
+
+
+WELL_FORMED = st.dictionaries(
+    st.sampled_from(CANONICAL_KEYS), st.floats(allow_nan=False, allow_infinity=False), max_size=4
+).map(lambda coeffs: [{"tau": k, "value": v} for k, v in coeffs.items()])
+ANY_ENTRY = st.fixed_dictionaries({
+    "tau": st.one_of(
+        st.sampled_from(CANONICAL_KEYS), st.sampled_from(OTHER_KEYS), st.integers(), st.none()
+    ),
+    "value": st.one_of(
+        st.floats(), st.integers(), st.text(max_size=4), st.lists(st.floats(), max_size=2)
+    ),
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(WELL_FORMED, st.lists(ANY_ENTRY, max_size=2))
+def test_synth_exit_code_contract(well_formed, arbitrary):
+    # any coefficient file either synthesizes (0) or is refused with a message (2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "coeffs.json"
+        path.write_text(json.dumps({"n": 3, "coefficients": well_formed + arbitrary}))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main(["synth", "--input", str(path), "--output", str(Path(tmp) / "out.csv")])
+    assert code in (0, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith("rankmra: ")
+
+
+def test_full_analysis_at_n8_exits_2(tmp_path, capsys):
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps({"n": 8, "coefficients": [{"tau": "id", "value": 1 / 40320}]}))
+    design = write_design(tmp_path, [[1, 2]], 8)
+    for argv in (
+        ("synth", "--input", str(path), "--allow-large-n"),
+        ("sample", "--design", design, "--input", str(path), "--allow-large-n"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "40320 rows" in err and "Traceback" not in err and out == ""
 
 
 def test_decompose_refuses_oversized_design(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from itertools import combinations
 from math import factorial
 
@@ -108,6 +109,33 @@ def test_decompose_large_n_guard(basis_for):
     assert decompose(f, basis, allow_large=True).get("id") == pytest.approx(1 / 24)
     # the guard itself needs n >= 7, construction of which is exercised in
     # the CLI tests through the --allow-large-n flag
+
+
+def test_basis_matrix_equals_embedded_wavelets(basis_for):
+    # oracle: the Word-embedded wavelet functions, one column each
+    for n in range(2, 7):
+        basis = basis_for(n)
+        oracle = np.column_stack(
+            [basis.chain_to_vector(wavelet(form, n).chain) for form in basis.forms]
+        )
+        assert np.array_equal(basis.matrix(), oracle)
+
+
+def test_full_analysis_refused_at_n8():
+    start = time.perf_counter()
+    basis = build_basis(8)
+    assert time.perf_counter() - start < 1.0
+    assert len(basis) == factorial(8)
+    with pytest.raises(ValueError, match="40320 rows and at least 40320 columns"):
+        basis.matrix()
+    f = Chain.dirac(Word(tuple(range(1, 9)), 8))
+    with pytest.raises(ValueError, match="40320 rows"):
+        decompose(f, basis, allow_large=True)
+    # without allow_large, n = 7 is refused before its matrix is built
+    seven = build_basis(7)
+    with pytest.raises(ValueError, match="allow_large"):
+        decompose(uniform_distribution(7), seven)
+    assert seven._matrix is None
 
 
 def test_synthesize_examples(basis_for):

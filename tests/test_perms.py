@@ -169,18 +169,6 @@ def test_eig_examples():
         eig(YoungTableau([(2, 1), (3, 4)]))
 
 
-def test_partition_text_round_trip():
-    from rankmra.perms import format_partition, parse_partition
-
-    assert format_partition((3, 1)) == "[3,1]"
-    assert parse_partition("[3,1]") == (3, 1)
-    assert parse_partition(format_partition((2, 2, 1))) == (2, 2, 1)
-    with pytest.raises(ValueError):
-        parse_partition("[1,2]")
-    with pytest.raises(ValueError):
-        parse_partition("3,1")
-
-
 def test_hook_dim_examples():
     assert hook_dim((3, 1)) == 3
     assert hook_dim((2, 2)) == 2
