@@ -62,6 +62,10 @@ def contiguous_extensions(p: Word, target: Iterable[int]) -> set[Word]:
     return out
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class ObservationDesign:
     """A collection of item subsets (each of size >= 2) within 1..n."""
 
@@ -111,8 +115,19 @@ class ObservationDesign:
         return sorted(out, key=lambda s: (len(s), sorted(s)))
 
     @classmethod
-    def from_json(cls, payload: dict) -> "ObservationDesign":
-        return cls(payload["design"], payload["n"])
+    def from_json(cls, payload) -> "ObservationDesign":
+        """Only an object {"n": int, "design": [[int, ...], ...]} is read;
+        any other shape raises ValueError rather than being coerced."""
+        if not isinstance(payload, dict) or not {"n", "design"} <= payload.keys():
+            raise ValueError('a design is a JSON object with keys "n" and "design"')
+        n, subsets = payload["n"], payload["design"]
+        if not _is_int(n):
+            raise ValueError(f"design n {n!r} is not an integer")
+        if not isinstance(subsets, list) or not all(
+            isinstance(s, list) and all(_is_int(a) for a in s) for s in subsets
+        ):
+            raise ValueError("design subsets must be lists of integer items")
+        return cls(subsets, n)
 
     @classmethod
     def load(cls, path: str) -> "ObservationDesign":

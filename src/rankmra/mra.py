@@ -361,24 +361,37 @@ def _chain_words(form: CycleForm, n: int) -> tuple[frozenset[int], list[tuple[tu
     return form.support(), [(w.letters, sign) for w, sign in terms.items()]
 
 
+def check_listable(items: frozenset[int]) -> None:
+    """Refuse a subset of more than MAX_N items before its rankings are listed."""
+    if len(items) > MAX_N:
+        raise ValueError(
+            f"subset {sorted(items)} has {len(items)} items; rankings are "
+            f"listed for at most {MAX_N}"
+        )
+
+
 def synthesize_marginals(c: CoefficientVector, subsets) -> dict[frozenset[int], Chain]:
     """Marginals on each subset of the function with coefficients c.
 
     Sums the closed-form wavelet marginals key by key in coefficient order,
     with Chain's pruning rule, so each result equals the Chain sum of
-    value * marginal_wavelet(key, subset) over the coefficients.
+    value * marginal_wavelet(key, subset) over the coefficients.  Every
+    subset is checked, and one of more than MAX_N items refused, before
+    any ranking is listed.
     """
-    wavelets = [
-        (_chain_words(_parse_key(key), c.n), value) for key, value in c.coeffs.items()
-    ]
-    out = {}
-    for subset in subsets:
-        items = frozenset(subset)
+    subsets = [frozenset(subset) for subset in subsets]
+    for items in subsets:
         if len(items) < 2 or not all(1 <= a <= c.n for a in items):
             raise ValueError(
                 f"marginals are taken on subsets of size >= 2 within 1..{c.n}, "
                 f"not {sorted(items)}"
             )
+        check_listable(items)
+    wavelets = [
+        (_chain_words(_parse_key(key), c.n), value) for key, value in c.coeffs.items()
+    ]
+    out = {}
+    for items in subsets:
         rows = _subset_rows(items, c.n)
         acc: dict[int, float] = {}
         for (support, terms), value in wavelets:
@@ -417,9 +430,7 @@ def _marginal_system(design: ObservationDesign, forms: list[CycleForm]) -> tuple
 
 
 def decompose_marginals(
-    fam: MarginalFamily,
-    basis: WaveletBasis | None = None,
-    projectivity_tol: float = REAL_PROJECTIVITY_TOL,
+    fam: MarginalFamily, projectivity_tol: float = REAL_PROJECTIVITY_TOL
 ) -> CoefficientVector:
     """Expand an observed marginal family over the design-observable wavelets.
 
@@ -436,10 +447,6 @@ def decompose_marginals(
         raise ProjectivityError(report)
     forms = design_forms(design)
     keys = [str(form) for form in forms]
-    if basis is not None:
-        missing = [key for key in keys if key not in basis._index]
-        if missing:
-            raise ValueError(f"basis lacks keys {missing}")
     mat, blocks = _marginal_system(design, forms)
     rhs = np.array([fam[b.items](w) for b in blocks for w in b.words], dtype=float)
     coeffs, _, rank, _ = scipy.linalg.lstsq(

@@ -1,0 +1,46 @@
+"""The library names the benchmark harness binds to.
+
+bench/spans.py rebinds rankmra functions from outside, and bench/child.py
+calls the library directly, so a rename or deletion under src/ would only
+show in a traced benchmark run (`bench/run.py --trace 1`).  This test makes
+it fail the test suite instead.  It runs in a subprocess because
+`Recorder.install()` rebinds module attributes for the whole process.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import os
+from itertools import permutations
+
+import rankmra.cli
+import rankmra.mra
+import rankmra.wavelets
+import spans
+from rankmra.words import Chain, Word
+
+spans.Recorder().install()
+assert isinstance(rankmra.wavelets._chain_cache, dict)
+assert rankmra.cli.main(["basis", "--n", "3", "--output", os.devnull]) == 0
+basis = rankmra.mra.build_basis(3)
+basis.lu()
+f = Chain({Word(p, 3): float(i + 1) for i, p in enumerate(permutations(range(1, 4)))}, 3)
+c = rankmra.mra.decompose(f, basis, allow_large=True)
+rankmra.mra.synthesize(c, basis)
+rankmra.mra.dezoom(f, 2, basis, allow_large=True)
+print("ok")
+"""
+
+
+def test_bench_tracing_binds_to_the_library():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
+    result = subprocess.run(
+        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"

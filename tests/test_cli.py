@@ -5,6 +5,7 @@ import io
 import json
 import random
 import tempfile
+import time
 from contextlib import redirect_stderr
 from math import factorial
 from pathlib import Path
@@ -458,3 +459,122 @@ def test_decompose_refuses_oversized_design(tmp_path, capsys):
     assert code == 2
     assert "5042 rows" in err and "Traceback" not in err
     assert out == ""
+
+
+BAD_DESIGN_PAYLOADS = [
+    [1],
+    {"n": 4, "design": [5]},
+    {"n": "4", "design": [[1, 2]]},
+    {"n": 4.5, "design": [[1, 2]]},
+    {"n": 4},
+]
+
+
+def test_design_file_of_wrong_shape_exits_2(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("1,2\n2,1\n")
+    path = tmp_path / "design.json"
+    for payload in BAD_DESIGN_PAYLOADS:
+        path.write_text(json.dumps(payload))
+        for argv in (
+            ("decompose", "--input", str(data), "--design", str(path)),
+            ("marginal", "--uniform", "--design", str(path)),
+            ("sample", "--design", str(path), "--count", "5"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, (payload, argv)
+            assert err.startswith("rankmra: ") and "Traceback" not in err and out == ""
+
+
+DESIGN_N = st.one_of(
+    st.integers(2, 6), st.text(max_size=2), st.floats(), st.none(), st.booleans()
+)
+DESIGN_ITEM = st.one_of(
+    st.integers(-1, 7), st.text(max_size=2), st.lists(st.integers(1, 3), max_size=2)
+)
+DESIGN_SUBSET = st.one_of(
+    st.lists(DESIGN_ITEM, max_size=5), st.sampled_from([[1, 2], [1, 2, 3]]), DESIGN_ITEM
+)
+DESIGN_PAYLOAD = st.one_of(
+    st.fixed_dictionaries(
+        {}, optional={"n": DESIGN_N, "design": st.lists(DESIGN_SUBSET, max_size=4)}
+    ),
+    st.lists(st.integers(1, 4), max_size=2),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(DESIGN_PAYLOAD)
+def test_design_exit_code_contract(payload):
+    # any design file is either used (0, or 4/5 from the analysis) or refused with a message (2)
+    with tempfile.TemporaryDirectory() as tmp:
+        design = Path(tmp) / "design.json"
+        design.write_text(json.dumps(payload))
+        data = Path(tmp) / "data.csv"
+        data.write_text("1,2\n2,1\n1,2\n1,2,3\n3,2,1\n1,2,3\n")
+        output = str(Path(tmp) / "out")
+        for argv, codes in (
+            (["marginal", "--uniform", "--design", str(design)], {0, 2}),
+            (["sample", "--design", str(design), "--count", "5"], {0, 2}),
+            (["decompose", "--input", str(data), "--design", str(design)], {0, 2, 4, 5}),
+        ):
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code = main(argv + ["--output", output])
+            assert code in codes, (argv[0], payload)
+            if code == 2:
+                assert err.getvalue().startswith("rankmra: ")
+
+
+def test_marginal_refuses_subset_beyond_max_n(tmp_path, capsys):
+    # 11! rankings would be listed; the refusal comes before any of them
+    items = list(range(1, 12))
+    design = write_design(tmp_path, [items], 11)
+    for argv in (
+        ("marginal", "--uniform", "--design", design),
+        ("marginal", "--n", "11", "--uniform", "--subset", ",".join(map(str, items))),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2, argv
+        assert "11 items" in err and "Traceback" not in err and out == ""
+
+
+def test_coefficients_beyond_max_n_exit_2_without_flag_advice(tmp_path, capsys):
+    # --allow-large-n cannot help at n = 9, so the message does not offer it
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps({"n": 9, "coefficients": [{"tau": "id", "value": 1e-6}]}))
+    design = write_design(tmp_path, [[1, 2]], 9)
+    for argv in (
+        ("synth", "--input", str(path)),
+        ("synth", "--input", str(path), "--allow-large-n"),
+        ("sample", "--design", design, "--input", str(path)),
+        ("sample", "--design", design, "--input", str(path), "--allow-large-n"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "n must be in 2..8" in err and "--allow-large-n" not in err and out == ""
+
+
+def test_commands_reject_options_they_do_not_read(tmp_path, capsys):
+    design = write_design(tmp_path, [[1, 2]], 3)
+    data = tmp_path / "data.csv"
+    data.write_text("1,2\n2,1\n")
+    coeffs = tmp_path / "coeffs.json"
+    CoefficientVector({"id": 1 / 6}, 3).save(str(coeffs))
+    decompose = ("decompose", "--input", str(data), "--design", design)
+    assert run(capsys, *decompose)[0] == 0
+    for argv in (
+        decompose + ("--n", "5"),
+        decompose + ("--seed", "1"),
+        ("verify", "--n", "3", "--tolerance", "0.1"),
+        ("basis", "--n", "3", "--seed", "1"),
+        ("marginal", "--n", "3", "--uniform", "--subset", "1,2", "--allow-large-n"),
+        ("synth", "--input", str(coeffs), "--seed", "1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
+        _, err = capsys.readouterr()
+        assert "unrecognized arguments" in err

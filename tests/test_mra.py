@@ -423,6 +423,15 @@ def test_synthesize_marginals_equals_chain_sum():
             synthesize_marginals(CoefficientVector({"id": 1.0}, 4), [bad])
 
 
+def test_synthesize_marginals_refuses_subset_beyond_max_n():
+    # the 11! rankings of the subset are never listed
+    c = CoefficientVector({"id": 1.0 / factorial(11)}, 11)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="11 items"):
+        synthesize_marginals(c, [range(1, 12)])
+    assert time.perf_counter() - start < 1.0
+
+
 def test_decompose_marginals_matches_svd_oracle():
     # a noisy empirical family at n = 6, solved by QR, against the SVD
     # least squares on a matrix built from marginal_wavelet
