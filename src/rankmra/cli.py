@@ -45,16 +45,8 @@ from .mra import (
     synthesize_marginals,
     verify_dimensions,
 )
-from .wavelets import (
-    LARGE_N,
-    MAX_N,
-    WaveletFunction,
-    chain_terms,
-    cycle_terms,
-    wavelet,
-    wavelet_chain,
-)
-from .words import Chain, Word, delete, format_chain, restrict
+from .wavelets import LARGE_N, MAX_N, chain_terms, cycle_terms, wavelet, wavelet_chain
+from .words import Word, delete, format_chain, restrict
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -138,7 +130,12 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 
 def cmd_marginal(args: argparse.Namespace) -> int:
+    sources = (args.input is not None) + args.uniform + (args.dataset is not None)
+    if sources != 1:
+        raise ValueError("give exactly one of --input, --uniform, --dataset")
     if args.design is not None:
+        if args.n is not None or args.subset:
+            raise ValueError("give --design or --n with --subset, not both")
         design = _load_design(args.design)
         n = design.n
         subsets = list(design)
@@ -162,12 +159,10 @@ def cmd_marginal(args: argparse.Namespace) -> int:
     else:
         if args.uniform:
             coeffs = CoefficientVector({"id": 1.0 / factorial(n)}, n)
-        elif args.input is not None:
+        else:
             coeffs = _load_coefficients(args.input)
             if coeffs.n != n:
                 raise ValueError(f"coefficients are for n={coeffs.n}, not {n}")
-        else:
-            raise ValueError("need --input, --uniform, or --dataset")
         chains = synthesize_marginals(coeffs, subsets)
 
     buf = io.StringIO()
@@ -206,26 +201,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     failures = list(report.failures)
     checks = {"deletion-annihilation": 0, "value-support-law": 0, "zero-sum": 0}
-    for i, (_, psi) in enumerate(build_basis(n)):
-        form = psi.tau
-        if not form.cycles:
-            continue
-        if args.inject_corruption and i == 1:
-            # test hook: break one coefficient in a copied chain (never the cache)
-            terms = dict(psi.chain.terms)
-            terms[next(iter(terms))] += 2
-            psi = WaveletFunction(psi.tau, Chain(terms, n))
-        support = form.support()
+    # the columns checked are those of the matrix that decompose factors
+    basis = build_basis(n)
+    for form, psi in zip(basis.forms[1:], basis.matrix().T[1:]):
         x = wavelet_chain(form, n).chain
-        for a in support:
+        for a in form.support():
             if delete(x, a):
                 checks["deletion-annihilation"] += 1
         k, r = form.length(), form.cycle_count()
-        values_ok = all(c in (-1, 1) for c in psi.chain.terms.values())
-        size_ok = len(psi.chain) == 2 ** (k - r) * factorial(n - k + 1)
+        values = psi[psi != 0]
+        values_ok = bool((abs(values) == 1).all())
+        size_ok = len(values) == 2 ** (k - r) * factorial(n - k + 1)
         if not (values_ok and size_ok):
             checks["value-support-law"] += 1
-        if psi.chain.total_mass() != 0:
+        if psi.sum() != 0:
             checks["zero-sum"] += 1
 
     lines = report.lines()
@@ -268,6 +257,8 @@ def _density_from_coefficients(args: argparse.Namespace, n: int) -> list[float] 
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     design = _load_design(args.design)
     n = design.n
     density = _density_from_coefficients(args, n)
@@ -348,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", cmd_verify, "dimension and invariant verification")
     p.add_argument("--n", type=int, required=True, help="universe size")
-    p.add_argument("--inject-corruption", action="store_true", help=argparse.SUPPRESS)
 
     p = command("sample", cmd_sample, "draw an incomplete-ranking dataset")
     p.add_argument("--design", required=True, help="design JSON")

@@ -27,6 +27,7 @@ import scipy.linalg
 from .marginals import (
     MarginalFamily,
     ObservationDesign,
+    _is_int,
     all_words,
     check_projective,
     ProjectivityReport,
@@ -41,7 +42,7 @@ from .perms import (
     eig_class_dimensions,
     scale_dimension,
 )
-from .wavelets import LARGE_N, MAX_DENSE_ENTRIES, MAX_N, WaveletFunction, wavelet, wavelet_chain
+from .wavelets import LARGE_N, MAX_DENSE_ENTRIES, MAX_N, WaveletFunction, chain_terms, wavelet
 from .words import Chain, Word, _pruned
 
 RESIDUAL_REL_TOL = 1e-9
@@ -90,6 +91,7 @@ class WaveletBasis:
         self.forms = forms
         self.keys = [str(form) for form in forms]
         self._index = {key: i for i, key in enumerate(self.keys)}
+        self.scales = np.array([form.length() for form in forms])  # support sizes
         self._design = ObservationDesign([range(1, n + 1)], n)
         self._matrix: np.ndarray | None = None
         self._lu = None
@@ -100,9 +102,6 @@ class WaveletBasis:
     def __iter__(self) -> Iterator[tuple[Permutation, WaveletFunction]]:
         for form in self.forms:
             yield form.to_permutation(self.n), wavelet(form, self.n)
-
-    def index_of(self, key: str) -> int:
-        return self._index[key]
 
     def _rows(self) -> _SubsetRows:
         return _subset_rows(self._design.subsets[0], self.n)
@@ -207,7 +206,10 @@ class CoefficientVector:
                 coeffs[key] = float(value)
             except OverflowError:
                 raise ValueError(f"coefficient {key!r} is not finite") from None
-        return cls(coeffs, int(payload["n"]), payload.get("scope", "full"))
+        n = payload["n"]
+        if not _is_int(n):
+            raise ValueError(f"coefficient n {n!r} is not an integer")
+        return cls(coeffs, n, payload.get("scope", "full"))
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -220,14 +222,8 @@ class CoefficientVector:
             return cls.from_json(json.load(fh))
 
 
-def decompose(f: Chain, basis: WaveletBasis, allow_large: bool = False) -> CoefficientVector:
-    """Solve for the unique expansion of f in the wavelet basis.
-
-    Dense LU with partial pivoting; the residual must not exceed
-    1e-9 times the sup norm of f.  Full solves from n = LARGE_N on sit
-    behind allow_large (they factor an n! by n! matrix); at n = 8 the
-    matrix would exceed MAX_DENSE_ENTRIES and is refused before it is built.
-    """
+def _analyze(f: Chain, basis: WaveletBasis, allow_large: bool) -> np.ndarray:
+    """The coefficients of f in basis order, as decompose solves for them."""
     if basis.n >= LARGE_N and not allow_large:
         raise ValueError(
             f"full decomposition at n = {basis.n} needs allow_large=True"
@@ -237,11 +233,32 @@ def decompose(f: Chain, basis: WaveletBasis, allow_large: bool = False) -> Coeff
     coeffs = scipy.linalg.lu_solve(lu, vec)
     residual = float(np.max(np.abs(basis.matrix() @ coeffs - vec)))
     bound = RESIDUAL_REL_TOL * float(np.max(np.abs(vec)))
-    if residual > bound:
+    if not residual <= bound:
         raise SolverError(
             f"solve residual {residual:.3g} exceeds {bound:.3g}; "
             "the basis matrix may be ill-conditioned"
         )
+    return coeffs
+
+
+def _evaluate(coeffs: np.ndarray, basis: WaveletBasis) -> Chain:
+    """The chain with the given coefficients in basis order."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = basis.matrix() @ coeffs
+    if not np.isfinite(values).all():
+        raise ValueError("the coefficients synthesize to values beyond the float range")
+    return basis.vector_to_chain(values)
+
+
+def decompose(f: Chain, basis: WaveletBasis, allow_large: bool = False) -> CoefficientVector:
+    """Solve for the unique expansion of f in the wavelet basis.
+
+    Dense LU with partial pivoting; the residual must not exceed
+    1e-9 times the sup norm of f.  Full solves from n = LARGE_N on sit
+    behind allow_large (they factor an n! by n! matrix); at n = 8 the
+    matrix would exceed MAX_DENSE_ENTRIES and is refused before it is built.
+    """
+    coeffs = _analyze(f, basis, allow_large)
     return CoefficientVector(
         {key: float(c) for key, c in zip(basis.keys, coeffs)}, basis.n, "full"
     )
@@ -253,12 +270,8 @@ def synthesize(c: CoefficientVector, basis: WaveletBasis) -> Chain:
     for key, value in c.coeffs.items():
         if key not in basis._index:
             raise KeyError(f"coefficient key {key!r} not in basis")
-        vec[basis.index_of(key)] = value
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = basis.matrix() @ vec
-    if not np.isfinite(values).all():
-        raise ValueError("the coefficients synthesize to values beyond the float range")
-    return basis.vector_to_chain(values)
+        vec[basis._index[key]] = value
+    return _evaluate(vec, basis)
 
 
 def design_forms(design: ObservationDesign) -> list[CycleForm]:
@@ -352,13 +365,12 @@ def _subset_rows(items: frozenset[int], n: int) -> _SubsetRows:
     return _SubsetRows(items, n)
 
 
-def _chain_words(form: CycleForm, n: int) -> tuple[frozenset[int], list[tuple[tuple[int, ...], int]]]:
-    """Support and signed chain words (as letter tuples) of psi_form; the
-    identity has neither."""
+def _chain_words(form: CycleForm) -> tuple[frozenset[int], list[tuple[tuple[int, ...], int]]]:
+    """Support and signed chain words (as letter tuples) of psi_form, from
+    the closed form; the identity has neither."""
     if not form.cycles:
         return frozenset(), []
-    terms = wavelet_chain(form, n).chain.terms
-    return form.support(), [(w.letters, sign) for w, sign in terms.items()]
+    return form.support(), [(tuple(map(ord, w)), s) for w, s in chain_terms(form.cycles)]
 
 
 def check_listable(items: frozenset[int]) -> None:
@@ -388,7 +400,7 @@ def synthesize_marginals(c: CoefficientVector, subsets) -> dict[frozenset[int], 
             )
         check_listable(items)
     wavelets = [
-        (_chain_words(_parse_key(key), c.n), value) for key, value in c.coeffs.items()
+        (_chain_words(_parse_key(key)), value) for key, value in c.coeffs.items()
     ]
     out = {}
     for items in subsets:
@@ -416,7 +428,7 @@ def _marginal_system(design: ObservationDesign, forms: list[CycleForm]) -> tuple
     col_idx: list[int] = []
     values: list[int] = []
     for j, form in enumerate(forms):
-        support, terms = _chain_words(form, design.n)
+        support, terms = _chain_words(form)
         offset = 0
         for block in blocks:
             for row, value in block.marginal(support, terms):
@@ -491,13 +503,9 @@ def dezoom(f: Chain, k: int, basis: WaveletBasis, allow_large: bool = False) -> 
         return ones * mean
     if not 2 <= k <= basis.n:
         raise ValueError(f"scale must be 0 or in 2..{basis.n}, got {k}")
-    c = decompose(f, basis, allow_large=allow_large)
-    kept = {
-        key: value
-        for key, value in c.coeffs.items()
-        if len(_parse_key(key).support()) <= k
-    }
-    return synthesize(CoefficientVector(kept, basis.n, "full"), basis)
+    coeffs = _analyze(f, basis, allow_large)
+    coeffs[basis.scales > k] = 0
+    return _evaluate(coeffs, basis)
 
 
 @dataclass

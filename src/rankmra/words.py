@@ -8,6 +8,7 @@ function returning a new value.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Iterable, Iterator, Mapping
 
 FLOAT_PRUNE_TOL = 1e-12
@@ -141,7 +142,8 @@ class Chain:
     """A sparse linear combination of injective words over a fixed universe.
 
     Zero coefficients are pruned eagerly (exactly for ints, below 1e-12 for
-    floats) so equality is structural.  Supports +, -, scalar *, and ==.
+    floats) so equality is structural; NaN and infinite coefficients are
+    refused.  Supports +, -, scalar *, and ==.
     """
 
     __slots__ = ("n", "terms")
@@ -153,14 +155,15 @@ class Chain:
             self.n = n
             self.terms = {}
             return
-        words = list(terms)
         if n is None:
-            if not words:
+            if not terms:
                 raise ValueError("empty chain needs an explicit universe size n")
-            n = words[0].n
-        for w in words:
+            n = next(iter(terms)).n
+        for w, c in terms.items():
             if w.n != n:
                 raise ValueError(f"word {w!r} has universe {w.n}, chain has {n}")
+            if c != c or abs(c) == inf:  # no float() call, so big ints stay exact
+                raise ValueError(f"coefficient of {w} is not finite: {c!r}")
         self.n = n
         self.terms = {w: c for w, c in terms.items() if _pruned(c)}
 

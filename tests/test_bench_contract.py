@@ -7,15 +7,18 @@ it fail the test suite instead.  It runs in a subprocess because
 `Recorder.install()` rebinds module attributes for the whole process.
 """
 
+import json
 import os
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
 import os
+import sys
 from itertools import permutations
 
 import rankmra.cli
@@ -33,14 +36,25 @@ f = Chain({Word(p, 3): float(i + 1) for i, p in enumerate(permutations(range(1, 
 c = rankmra.mra.decompose(f, basis, allow_large=True)
 rankmra.mra.synthesize(c, basis)
 rankmra.mra.dezoom(f, 2, basis, allow_large=True)
+design, data = sys.argv[1:]
+argv = ["decompose", "--input", data, "--design", design, "--output", os.devnull]
+assert rankmra.cli.main(argv) == 0
 print("ok")
 """
 
 
-def test_bench_tracing_binds_to_the_library():
+def test_bench_tracing_binds_to_the_library(tmp_path):
+    # a tiny exactly projective design dataset, so that the traced decompose
+    # path (projectivity pairs, coefficient count) runs to the end
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps({"n": 3, "design": [[1, 2], [1, 2, 3]]}))
+    data = tmp_path / "data.csv"
+    rows = ["1,2", "2,1"] + [",".join(map(str, p)) for p in permutations(range(1, 4))]
+    data.write_text("\n".join(rows) + "\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
     result = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", SCRIPT, str(design), str(data)],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "ok"

@@ -18,6 +18,7 @@ from rankmra import (
     CoefficientVector,
     CycleForm,
     ObservationDesign,
+    WaveletBasis,
     Word,
     build_basis,
     format_chain,
@@ -110,8 +111,16 @@ def test_verify_bounds(capsys):
     assert run(capsys, "verify", "--n", "7")[0] == 2
 
 
-def test_verify_corruption_hook(capsys):
-    code, out, _ = run(capsys, "verify", "--n", "3", "--inject-corruption")
+def test_verify_corruption_hook(capsys, monkeypatch):
+    matrix = WaveletBasis.matrix
+
+    def corrupted(self):
+        mat = matrix(self).copy()
+        mat[0, 1] += 2
+        return mat
+
+    monkeypatch.setattr(WaveletBasis, "matrix", corrupted)
+    code, out, _ = run(capsys, "verify", "--n", "3")
     assert code == 1
     assert "FAIL" in out
 
@@ -127,6 +136,14 @@ def test_sample_deterministic(tmp_path, capsys):
     assert all(sorted(int(v) for v in row) == [1, 2] for row in rows)
     code, out3, _ = run(capsys, "sample", "--design", design, "--count", "4", "--seed", "1")
     assert code == 0
+
+
+def test_sample_rejects_count_below_one(tmp_path, capsys):
+    design = write_design(tmp_path, [[1, 2]], 4)
+    for count in ("0", "-5"):
+        code, out, err = run(capsys, "sample", "--design", design, "--count", count)
+        assert code == 2, count
+        assert err.startswith("rankmra: ") and out == ""
 
 
 def test_sample_rejects_negative_density(tmp_path, capsys):
@@ -281,6 +298,31 @@ def test_marginal_requires_source(capsys):
     assert code == 2
 
 
+def test_marginal_takes_one_source_and_one_target(tmp_path, capsys):
+    design = write_design(tmp_path, [[1, 2], [3, 4]], 4)
+    coeffs = tmp_path / "c.json"
+    CoefficientVector({"id": 1 / 24}, 4).save(str(coeffs))
+    data = tmp_path / "data.csv"
+    data.write_text("1,2\n3,4\n")
+    target = ("--n", "4", "--subset", "1,2", "--subset", "3,4")
+    conflicts = [
+        ("--input", str(coeffs), "--uniform", *target),
+        ("--input", str(coeffs), "--dataset", str(data), *target),
+        ("--uniform", "--dataset", str(data), *target),
+        ("--uniform", "--design", design, "--n", "4"),
+        ("--uniform", "--design", design, "--subset", "1,2"),
+        ("--uniform", "--design", design, "--n", "7", "--subset", "5,6"),
+    ]
+    for argv in conflicts:
+        code, out, err = run(capsys, "marginal", *argv)
+        assert code == 2, argv
+        assert err.startswith("rankmra: ") and out == ""
+    # each source alone, with either target, still runs
+    for source in (("--input", str(coeffs)), ("--uniform",), ("--dataset", str(data))):
+        assert run(capsys, "marginal", *source, *target)[0] == 0, source
+        assert run(capsys, "marginal", *source, "--design", design)[0] == 0, source
+
+
 def test_synth_round_trip(tmp_path, capsys):
     basis = build_basis(3)
     c = CoefficientVector({"id": 0.5, "(1 2 3)": -1.0}, 3)
@@ -352,6 +394,15 @@ def test_coefficient_file_with_nan_exits_2(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert "not finite" in err and out == ""
+
+
+def test_coefficient_file_with_non_integer_n_exits_2(tmp_path, capsys):
+    for n in (3.7, "3", True, None):
+        text = json.dumps({"n": n, "coefficients": [{"tau": "id", "value": 1 / 6}]})
+        for argv in _coefficient_commands(tmp_path, text, 3):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, (n, argv)
+            assert "not an integer" in err and out == ""
 
 
 def test_coefficient_file_with_key_outside_universe_exits_2(tmp_path, capsys):

@@ -33,6 +33,7 @@ from rankmra import (
     verify_dimensions,
     wavelet,
 )
+from rankmra import wavelets as wavelets_module
 from rankmra.marginals import all_words
 from rankmra.mra import (
     basis_keys,
@@ -287,6 +288,35 @@ def test_dezoom_properties(basis_for):
         assert (dezoom(g, 3, basis) - g).norm_inf() < 1e-8
         with pytest.raises(ValueError):
             dezoom(f, 1, basis)
+
+
+def test_dezoom_equals_its_definition(basis_for):
+    """dezoom(f, k) is decompose, then the keys of support size <= k, then
+    synthesize, exactly."""
+    rng = random.Random(14)
+    for n in range(3, 7):
+        basis = basis_for(n)
+        f = random_chain(n, rng)
+        c = decompose(f, basis)
+        for k in range(2, n + 1):
+            kept = {
+                key: value
+                for key, value in c.coeffs.items()
+                if len(CycleForm.parse(key).support()) <= k
+            }
+            assert dezoom(f, k, basis) == synthesize(CoefficientVector(kept, n), basis)
+
+
+def test_row_assembly_leaves_chain_cache_empty():
+    """Matrix rows come from the closed form, not from cached wavelet chains."""
+    wavelets_module._chain_cache.clear()
+    build_basis(5).matrix()
+    design = ObservationDesign([[1, 2, 3], [2, 3, 4, 5]], 5)
+    fam = exact_marginals(random_chain(5, random.Random(3)), design)
+    c = decompose_marginals(fam)
+    marginal_residual(fam, c)
+    synthesize_marginals(c, [[1, 2], [1, 4, 5]])
+    assert wavelets_module._chain_cache == {}
 
 
 def test_dezoom_translation_invariance(basis_for):

@@ -202,6 +202,14 @@ def test_chain_pruning_and_equality():
     assert Chain({a: 2, w("21", 2): -3}).total_mass() == -1
 
 
+def test_chain_rejects_non_finite_coefficients():
+    a, b = w("12", 2), w("21", 2)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="not finite"):
+            Chain({a: 1.0, b: bad}, 2)
+    assert Chain({a: 10**400}, 2)(a) == 10**400  # an int too big for a float
+
+
 def test_chain_text_round_trip():
     x = parse_chain("+2*12 -21", 2)
     assert format_chain(x) == "+2*12 -21"
