@@ -20,7 +20,7 @@ import random
 import sys
 from contextlib import nullcontext
 from functools import cache
-from math import factorial
+from math import factorial, isfinite
 from typing import Iterable, Iterator
 
 from .marginals import (
@@ -39,6 +39,7 @@ from .mra import (
     basis_forms,
     build_basis,
     check_listable,
+    check_scale,
     decompose_marginals,
     marginal_residual,
     synthesize,
@@ -150,6 +151,7 @@ def cmd_marginal(args: argparse.Namespace) -> int:
         if len(s) < 2 or any(not 1 <= a <= n for a in s):
             raise ValueError(f"bad subset {sorted(s)}")
         check_listable(s)
+        check_scale(s, n)
 
     if args.dataset is not None:
         records = read_rankings_csv(args.dataset, n)
@@ -178,6 +180,8 @@ def cmd_marginal(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     tolerance = args.tolerance
+    if not (isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"--tolerance must be a finite number >= 0, got {tolerance!r}")
     design = _load_design(args.design)
     records = read_rankings_csv(args.input, design.n)
     fam = empirical_marginals(records, design)
@@ -261,6 +265,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     design = _load_design(args.design)
     n = design.n
+    check_scale(min(design, key=len), n)
     density = _density_from_coefficients(args, n)
 
     rng = random.Random(args.seed)

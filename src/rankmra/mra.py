@@ -1,9 +1,19 @@
 """Full multiresolution machinery: basis assembly, analysis, synthesis.
 
-Analysis is a dense linear solve against the (non-orthogonal) basis matrix;
-marginal-domain analysis assembles its system from closed-form wavelet
-marginals only, so it never materializes the full ranking space.
+Full analysis is subset-triangular, from two properties of the wavelets.
+By localization, the marginal of psi_tau on a subset A is 0 unless
+supp tau lies in A; so once the constant and the supports of fewer than
+k items are subtracted, the marginal of what is left on a k-subset A is
+(n - k + 1)! X_A c_A, X_A being the +-1 chain matrix of A's derangements.
+By translation covariance, X_A is X_k, the matrix of 1..k, relabelled.
+So one Cholesky factor of G_k = X_k^T X_k per support size k solves the
+coefficients of all C(n, k) subsets of that size at once.  The normal
+equations are safe here: cond(X_7) = 233, so cond(G_7) is about 5e4,
+and the residual of every solve is still checked against the 1e-9 gate.
+The dense basis matrix is built only as a test oracle and for `verify`.
 
+Marginal-domain analysis assembles its system from closed-form wavelet
+marginals only, so it never materializes the full ranking space.
 The marginal system is solved by column-pivoted QR (LAPACK gelsy).  It is
 full rank and sparse but not well conditioned (about 7e4 on a 1498 x 1450
 system at n = 8).  QR keeps the error near cond * eps, as an SVD does, at
@@ -17,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial, isfinite
 from typing import Iterator
 
@@ -94,7 +104,7 @@ class WaveletBasis:
         self.scales = np.array([form.length() for form in forms])  # support sizes
         self._design = ObservationDesign([range(1, n + 1)], n)
         self._matrix: np.ndarray | None = None
-        self._lu = None
+        self._engine: _SubsetTriangular | None = None
 
     def __len__(self) -> int:
         return len(self.forms)
@@ -132,10 +142,15 @@ class WaveletBasis:
             self._matrix = _marginal_system(self._design, self.forms)[0]
         return self._matrix
 
-    def lu(self):
-        if self._lu is None:
-            self._lu = scipy.linalg.lu_factor(self.matrix())
-        return self._lu
+    def lu(self) -> _SubsetTriangular:
+        """Factor now: the subset-triangular engine that full analysis and
+        synthesis use, built once per basis (one Cholesky factor per support
+        size; the name is older than the engine).  It never builds matrix().
+        At n = 8 the top block is refused, as its Gram matrix would exceed
+        MAX_DENSE_ENTRIES."""
+        if self._engine is None:
+            self._engine = _SubsetTriangular(self.n)
+        return self._engine
 
 
 def build_basis(n: int) -> WaveletBasis:
@@ -222,29 +237,137 @@ class CoefficientVector:
             return cls.from_json(json.load(fh))
 
 
+class _Level:
+    """The wavelets whose support has k items, for every k-subset at once.
+
+    x: X_k as a sparse matrix, rows the k! words of 1..k in lexicographic
+    order, columns derangement_forms(1..k); relabelling 1..k to a subset
+    keeps both orders for the one-digit labels of n <= MAX_N.  factor: the
+    Cholesky factor of X_k^T X_k.  span: the level's coefficients in basis
+    order, subset by subset, set by _SubsetTriangular.  marginal_slot: for
+    each full ranking (row-major) and each k-subset a (in combinations
+    order), a * k! plus the rank of the ranking's restriction to the
+    subset.  ranking, slot: the pairs of a ranking and a slot in which the
+    subset is contiguous, the only places where its wavelets are nonzero.
+    """
+
+    def __init__(self, n: int, k: int, positions: np.ndarray):
+        import scipy.sparse  # only full analysis pays for its import
+
+        self.scale = factorial(n - k + 1)
+        self.size = len(positions)
+        letters = permutations(range(1, k + 1))
+        row_of = {"".join(map(chr, p)): i for i, p in enumerate(letters)}
+        rows, cols, vals = [], [], []
+        for j, form in enumerate(derangement_forms(range(1, k + 1))):
+            for word, sign in chain_terms(form.cycles):
+                rows.append(row_of[word])
+                cols.append(j)
+                vals.append(sign)
+        self.forms = j + 1
+        self.x = scipy.sparse.csr_array(
+            (np.array(vals, dtype=float), (rows, cols)), shape=(len(row_of), self.forms)
+        )
+        self.factor = scipy.linalg.cho_factor((self.x.T @ self.x).toarray())
+        subsets = np.array(list(combinations(range(n), k)))
+        self.subsets = len(subsets)
+        # place[s, a, i]: where the i-th smallest letter of subset a stands
+        # in ranking s; after[..., i, j]: letter j comes after letter i
+        place = positions[:, subsets]
+        after = place[..., None, :] > place[..., :, None]
+        later = after.sum(axis=-1)
+        lehmer = (after & np.tri(k, k, -1, dtype=bool)).sum(axis=-1)
+        fact = np.array([factorial(i) for i in range(k)])
+        rank = (lehmer * fact[later]).sum(axis=-1)
+        slot = rank + np.arange(self.subsets) * len(row_of)
+        self.marginal_slot = slot.ravel()
+        self.ranking, subset = np.nonzero(place.max(axis=-1) - place.min(axis=-1) == k - 1)
+        self.slot = slot[self.ranking, subset]
+
+    def solve(self, rest: np.ndarray) -> np.ndarray:
+        """Coefficients (forms x subsets) whose marginals on the k-subsets
+        are those of rest."""
+        marginals = np.bincount(
+            self.marginal_slot,
+            weights=np.repeat(rest, self.subsets),
+            minlength=self.subsets * self.x.shape[0],
+        )
+        rhs = self.x.T @ marginals.reshape(self.subsets, -1).T
+        return scipy.linalg.cho_solve(self.factor, rhs / self.scale)
+
+    def synthesize(self, block: np.ndarray) -> np.ndarray:
+        """The function on the full rankings of the coefficients in block."""
+        values = (self.x @ block).T.ravel()
+        return np.bincount(self.ranking, weights=values[self.slot], minlength=self.size)
+
+
+class _SubsetTriangular:
+    """Full analysis and synthesis in basis order, level by level: the
+    constant, then one _Level per support size k = 2..n."""
+
+    def __init__(self, n: int):
+        top = derangement_number(n)
+        if top * top > MAX_DENSE_ENTRIES:
+            raise ValueError(
+                f"full analysis at n = {n} solves a top block of {factorial(n)} rows "
+                f"and {top} columns, whose Gram matrix would exceed the "
+                f"{MAX_DENSE_ENTRIES} entries of the dense basis matrix at n = {LARGE_N}"
+            )
+        self.size = factorial(n)
+        # positions[s, a]: where letter a + 1 stands in the s-th ranking
+        positions = np.argsort(np.array(list(permutations(range(n)))), axis=1)
+        self.levels = [_Level(n, k, positions) for k in range(2, n + 1)]
+        start = 1
+        for level in self.levels:
+            level.span = slice(start, start + level.forms * level.subsets)
+            start = level.span.stop
+
+    def analyze(self, f: np.ndarray) -> np.ndarray:
+        """The coefficients of f (on the lexicographic full rankings)."""
+        coeffs = np.empty(self.size)
+        coeffs[0] = f.sum() / self.size
+        rest = f - coeffs[0]
+        for level in self.levels:
+            block = level.solve(rest)
+            coeffs[level.span] = block.T.ravel()
+            if level is not self.levels[-1]:  # the top level leaves nothing
+                rest -= level.synthesize(block)
+        return coeffs
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """The function, on the lexicographic full rankings, of coeffs."""
+        values = np.full(self.size, coeffs[0])
+        for level in self.levels:
+            block = coeffs[level.span].reshape(level.subsets, level.forms).T
+            if block.any():  # dezoom zeroes the levels above its scale
+                values += level.synthesize(block)
+        return values
+
+
 def _analyze(f: Chain, basis: WaveletBasis, allow_large: bool) -> np.ndarray:
     """The coefficients of f in basis order, as decompose solves for them."""
     if basis.n >= LARGE_N and not allow_large:
         raise ValueError(
             f"full decomposition at n = {basis.n} needs allow_large=True"
         )
-    lu = basis.lu()
+    engine = basis.lu()
     vec = basis.chain_to_vector(f)
-    coeffs = scipy.linalg.lu_solve(lu, vec)
-    residual = float(np.max(np.abs(basis.matrix() @ coeffs - vec)))
+    coeffs = engine.analyze(vec)
+    residual = float(np.max(np.abs(engine.synthesize(coeffs) - vec)))
     bound = RESIDUAL_REL_TOL * float(np.max(np.abs(vec)))
     if not residual <= bound:
         raise SolverError(
             f"solve residual {residual:.3g} exceeds {bound:.3g}; "
-            "the basis matrix may be ill-conditioned"
+            "a level block may be ill-conditioned"
         )
     return coeffs
 
 
 def _evaluate(coeffs: np.ndarray, basis: WaveletBasis) -> Chain:
     """The chain with the given coefficients in basis order."""
+    engine = basis.lu()
     with np.errstate(over="ignore", invalid="ignore"):
-        values = basis.matrix() @ coeffs
+        values = engine.synthesize(coeffs)
     if not np.isfinite(values).all():
         raise ValueError("the coefficients synthesize to values beyond the float range")
     return basis.vector_to_chain(values)
@@ -253,10 +376,14 @@ def _evaluate(coeffs: np.ndarray, basis: WaveletBasis) -> Chain:
 def decompose(f: Chain, basis: WaveletBasis, allow_large: bool = False) -> CoefficientVector:
     """Solve for the unique expansion of f in the wavelet basis.
 
-    Dense LU with partial pivoting; the residual must not exceed
-    1e-9 times the sup norm of f.  Full solves from n = LARGE_N on sit
-    behind allow_large (they factor an n! by n! matrix); at n = 8 the
-    matrix would exceed MAX_DENSE_ENTRIES and is refused before it is built.
+    Subset-triangular: the constant is the mean of f; then, support size
+    by support size, the marginals of what is left on every k-subset are
+    solved against one Cholesky factor of G_k = X_k^T X_k (cond(X_7) = 233,
+    so cond(G_7) is about 5e4), and that level's contribution is
+    subtracted.  The residual of the synthesized coefficients must not
+    exceed 1e-9 times the sup norm of f.  Full solves from n = LARGE_N on
+    sit behind allow_large; at n = 8 the Gram matrix of the top block
+    would exceed MAX_DENSE_ENTRIES and is refused before it is built.
     """
     coeffs = _analyze(f, basis, allow_large)
     return CoefficientVector(
@@ -294,11 +421,13 @@ def check_marginal_system(design: ObservationDesign) -> tuple[int, int]:
 
     Rows: |A|! per design subset A.  Columns: 1 + D_|S| over the subsets S
     of the closure, D_k being the number of derangements of k items.
-    A system with more than MAX_DENSE_ENTRIES entries raises ValueError.
+    A system with more than MAX_DENSE_ENTRIES entries raises ValueError,
+    and so does a design whose scale does not fit in a float (check_scale).
     The closure of a subset A alone holds |A|! - 1 derangements, so rows
     times the largest |A|! bounds the size from below; it is tried first,
     as listing the closure takes 2^|A| steps per subset.
     """
+    check_scale(min(design, key=len), design.n)
     rows = sum(factorial(len(s)) for s in design)
     cols = factorial(max(len(s) for s in design))
     at_least = rows * cols > MAX_DENSE_ENTRIES
@@ -373,6 +502,22 @@ def _chain_words(form: CycleForm) -> tuple[frozenset[int], list[tuple[tuple[int,
     return form.support(), [(tuple(map(ord, w)), s) for w, s in chain_terms(form.cycles)]
 
 
+def check_scale(items: frozenset[int], n: int) -> None:
+    """Refuse a subset whose marginal scale n!/|A|! does not fit in a float.
+
+    That scale, the marginal of the constant wavelet, is the largest a
+    wavelet has on the subset.  Coefficients keep their convention (they
+    scale as 1/n!), so such an n is refused, not rescaled.
+    """
+    try:
+        float(factorial(n) // factorial(len(items)))
+    except OverflowError:
+        raise ValueError(
+            f"n = {n} is too large for subset {sorted(items)}: its marginal "
+            f"scale {n}!/{len(items)}! does not fit in a float"
+        ) from None
+
+
 def check_listable(items: frozenset[int]) -> None:
     """Refuse a subset of more than MAX_N items before its rankings are listed."""
     if len(items) > MAX_N:
@@ -388,8 +533,8 @@ def synthesize_marginals(c: CoefficientVector, subsets) -> dict[frozenset[int], 
     Sums the closed-form wavelet marginals key by key in coefficient order,
     with Chain's pruning rule, so each result equals the Chain sum of
     value * marginal_wavelet(key, subset) over the coefficients.  Every
-    subset is checked, and one of more than MAX_N items refused, before
-    any ranking is listed.
+    subset is checked, and one of more than MAX_N items or whose scale
+    does not fit in a float refused, before any ranking is listed.
     """
     subsets = [frozenset(subset) for subset in subsets]
     for items in subsets:
@@ -399,6 +544,7 @@ def synthesize_marginals(c: CoefficientVector, subsets) -> dict[frozenset[int], 
                 f"not {sorted(items)}"
             )
         check_listable(items)
+        check_scale(items, c.n)
     wavelets = [
         (_chain_words(_parse_key(key)), value) for key, value in c.coeffs.items()
     ]

@@ -3,8 +3,10 @@
 bench/spans.py rebinds rankmra functions from outside, and bench/child.py
 calls the library directly, so a rename or deletion under src/ would only
 show in a traced benchmark run (`bench/run.py --trace 1`).  This test makes
-it fail the test suite instead.  It runs in a subprocess because
-`Recorder.install()` rebinds module attributes for the whole process.
+it fail the test suite instead, and checks that the library session's
+round trip never builds the dense basis matrix.  It runs in a subprocess
+because `Recorder.install()` rebinds module attributes for the whole
+process.
 """
 
 import json
@@ -36,6 +38,7 @@ f = Chain({Word(p, 3): float(i + 1) for i, p in enumerate(permutations(range(1, 
 c = rankmra.mra.decompose(f, basis, allow_large=True)
 rankmra.mra.synthesize(c, basis)
 rankmra.mra.dezoom(f, 2, basis, allow_large=True)
+assert basis._matrix is None  # the bench times the engine, not the dense oracle
 design, data = sys.argv[1:]
 argv = ["decompose", "--input", data, "--design", design, "--output", os.devnull]
 assert rankmra.cli.main(argv) == 0

@@ -7,6 +7,7 @@ import random
 import tempfile
 import time
 from contextlib import redirect_stderr
+from itertools import permutations
 from math import factorial
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from rankmra import (
 )
 from rankmra import wavelets as wavelets_module
 from rankmra.cli import main
+from rankmra.mra import check_marginal_system
 
 GOLDEN = Path(__file__).parent / "golden" / "s4_basis.txt"
 
@@ -510,6 +512,43 @@ def test_decompose_refuses_oversized_design(tmp_path, capsys):
     assert code == 2
     assert "5042 rows" in err and "Traceback" not in err
     assert out == ""
+
+
+def test_decompose_rejects_tolerance_that_is_not_finite_and_nonnegative(tmp_path, capsys):
+    # at the parent, nan passed a one-subset design and failed an exact
+    # two-subset one (exit 4), as -1 did
+    pairs = ["1,2", "2,1"]
+    exact = pairs + [",".join(map(str, p)) for p in permutations(range(1, 4))]
+    for subsets, rows in (([[1, 2]], pairs), ([[1, 2], [1, 2, 3]], exact)):
+        design = write_design(tmp_path, subsets, 3)
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(rows) + "\n")
+        decompose = ("decompose", "--input", str(data), "--design", design)
+        assert run(capsys, *decompose, "--tolerance", "0")[0] == 0
+        for tolerance in ("nan", "-1", "inf", "-inf"):
+            code, out, err = run(capsys, *decompose, f"--tolerance={tolerance}")
+            assert code == 2, (subsets, tolerance)
+            assert err.startswith("rankmra: --tolerance") and out == ""
+
+
+def test_design_whose_scale_overflows_a_float_exits_2(tmp_path, capsys):
+    # 180!/2! is past the float range; 170!/2! is the last n! / 2! inside it
+    data = tmp_path / "data.csv"
+    data.write_text("1,2\n2,1\n")
+    for n, expected in ((180, 2), (171, 2), (170, 0)):
+        design = write_design(tmp_path, [[1, 2]], n)
+        for argv in (
+            ("decompose", "--input", str(data), "--design", design),
+            ("marginal", "--uniform", "--design", design),
+            ("marginal", "--n", str(n), "--uniform", "--subset", "1,2"),
+            ("sample", "--design", design, "--count", "3"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == expected, (n, argv)
+            if expected:
+                assert f"rankmra: n = {n} is too large" in err and out == ""
+    with pytest.raises(ValueError, match="does not fit in a float"):
+        check_marginal_system(ObservationDesign([[1, 2]], 180))
 
 
 BAD_DESIGN_PAYLOADS = [

@@ -139,6 +139,43 @@ def test_full_analysis_refused_at_n8():
     assert seven._matrix is None
 
 
+def _against_dense_oracle(basis, f: Chain, c: np.ndarray) -> None:
+    """The engine's decompose, synthesize and dezoom of f against a dense
+    solve with, and products by, the basis matrix; c is its coefficients."""
+    mat = basis.matrix()
+    vec = basis.chain_to_vector(f)
+    oracle = np.linalg.solve(mat, vec)
+    assert np.max(np.abs(c - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+    scale = np.max(np.abs(mat @ oracle))
+    oracle_c = CoefficientVector(dict(zip(basis.keys, oracle)), basis.n)
+    synthesized = basis.chain_to_vector(synthesize(oracle_c, basis))
+    assert np.max(np.abs(synthesized - mat @ oracle)) <= 1e-12 * scale
+    for k in range(2, basis.n + 1):
+        kept = np.where(basis.scales > k, 0.0, oracle)
+        zoomed = basis.chain_to_vector(dezoom(f, k, basis, allow_large=True))
+        assert np.max(np.abs(zoomed - mat @ kept)) <= 1e-10 * np.max(np.abs(vec))
+
+
+def test_subset_triangular_engine_matches_dense_oracle(basis_for):
+    rng = random.Random(21)
+    for n in range(3, 7):
+        basis = basis_for(n)
+        for f in (random_chain(n, rng), Chain.dirac(rng.choice(basis.words))):
+            c = decompose(f, basis)
+            _against_dense_oracle(basis, f, np.array([c.get(key) for key in basis.keys]))
+
+
+def test_full_analysis_at_n7_builds_no_dense_matrix():
+    basis = build_basis(7)
+    basis.lu()
+    f = random_chain(7, random.Random(7))
+    c = decompose(f, basis, allow_large=True)
+    synthesize(c, basis)
+    dezoom(f, 3, basis, allow_large=True)
+    assert basis._matrix is None
+    _against_dense_oracle(basis, f, np.array([c.get(key) for key in basis.keys]))
+
+
 def test_synthesize_examples(basis_for):
     basis = basis_for(3)
     ones = synthesize(CoefficientVector({"id": 1.0}, 3), basis)

@@ -4,6 +4,8 @@ from itertools import permutations
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankmra import (
     CycleForm,
@@ -44,6 +46,13 @@ def test_cycle_form_round_trip_exhaustive():
             form = standard_cycle_form(t)
             assert form.to_permutation(n) == t
             assert standard_cycle_form(form.to_permutation(n)) == form
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_cycle_form_text_round_trip_property(images):
+    form = standard_cycle_form(Permutation(images))
+    assert CycleForm.parse(str(form)) == form
 
 
 def test_composition_convention():

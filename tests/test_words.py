@@ -4,6 +4,8 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankmra import (
     Chain,
@@ -217,3 +219,35 @@ def test_chain_text_round_trip():
     assert format_chain(Chain.zero(3)) == "0"
     y = Chain({w("12", 2): 0.5})
     assert parse_chain(format_chain(y), 2) == y
+
+
+@st.composite
+def injective_words(draw, n: int):
+    """A word of 0..n distinct letters from 1..n, in any order."""
+    letters = draw(st.permutations(range(1, n + 1)))
+    return Word(letters[: draw(st.integers(0, n))], n)
+
+
+@st.composite
+def sparse_chains(draw):
+    """Up to six words of one universe (one-digit and comma-separated
+    alike), with nonzero small-int or finite float coefficients."""
+    n = draw(st.integers(1, 12))
+    coefficient = st.one_of(
+        st.integers(-5, 5).filter(bool),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    terms = draw(st.dictionaries(injective_words(n), coefficient, max_size=6))
+    return Chain(terms, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 15).flatmap(injective_words))
+def test_word_text_round_trip_property(word):
+    assert Word.parse(str(word), word.n) == word
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_chains())
+def test_chain_text_round_trip_property(x):
+    assert parse_chain(format_chain(x), x.n) == x
