@@ -39,6 +39,7 @@ from .mra import (
     basis_forms,
     build_basis,
     check_listable,
+    check_marginal_system,
     check_scale,
     decompose_marginals,
     marginal_residual,
@@ -160,7 +161,10 @@ def cmd_marginal(args: argparse.Namespace) -> int:
         chains = {s: fam[s] for s in subsets}
     else:
         if args.uniform:
-            coeffs = CoefficientVector({"id": 1.0 / factorial(n)}, n)
+            try:
+                coeffs = CoefficientVector({"id": 1.0 / factorial(n)}, n)
+            except OverflowError:
+                raise ValueError(f"n = {n} is too large for --uniform: {n}! overflows") from None
         else:
             coeffs = _load_coefficients(args.input)
             if coeffs.n != n:
@@ -183,6 +187,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if not (isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"--tolerance must be a finite number >= 0, got {tolerance!r}")
     design = _load_design(args.design)
+    check_marginal_system(design)
     records = read_rankings_csv(args.input, design.n)
     fam = empirical_marginals(records, design)
     report = check_projective(fam, tolerance)

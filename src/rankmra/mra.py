@@ -12,6 +12,12 @@ equations are safe here: cond(X_7) = 233, so cond(G_7) is about 5e4,
 and the residual of every solve is still checked against the 1e-9 gate.
 The dense basis matrix is built only as a test oracle and for `verify`.
 
+One ranking index serves the engine, the dense basis matrix, the design
+system and marginal synthesis: X_k as (row, column, sign) triples, and
+for the rankings of 1..m the rank of their restriction to each k-subset
+and whether that subset stands together in them.  A marginal of psi_tau
+is X_k's column of tau read at those ranks, where supp tau is contiguous.
+
 Marginal-domain analysis assembles its system from closed-form wavelet
 marginals only, so it never materializes the full ranking space.
 The marginal system is solved by column-pivoted QR (LAPACK gelsy).  It is
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial, isfinite
 from typing import Iterator
@@ -102,7 +108,6 @@ class WaveletBasis:
         self.keys = [str(form) for form in forms]
         self._index = {key: i for i, key in enumerate(self.keys)}
         self.scales = np.array([form.length() for form in forms])  # support sizes
-        self._design = ObservationDesign([range(1, n + 1)], n)
         self._matrix: np.ndarray | None = None
         self._engine: _SubsetTriangular | None = None
 
@@ -113,19 +118,19 @@ class WaveletBasis:
         for form in self.forms:
             yield form.to_permutation(self.n), wavelet(form, self.n)
 
-    def _rows(self) -> _SubsetRows:
-        return _subset_rows(self._design.subsets[0], self.n)
-
-    @property
+    @cached_property
     def words(self) -> list[Word]:
         """Full rankings in lexicographic order (the row index of matrices)."""
-        return self._rows().words
+        return all_words(range(1, self.n + 1), self.n)
+
+    @cached_property
+    def _row(self) -> dict[tuple[int, ...], int]:
+        return {w.letters: i for i, w in enumerate(self.words)}
 
     def chain_to_vector(self, f: Chain) -> np.ndarray:
-        rows = self._rows()
-        vec = np.zeros(len(rows.words))
+        vec = np.zeros(len(self.words))
         for w, c in f.terms.items():
-            pos = rows._row.get(w.letters) if f.n == self.n else None
+            pos = self._row.get(w.letters) if f.n == self.n else None
             if pos is None:
                 raise ValueError(f"word {w} is not a full ranking of 1..{self.n}")
             vec[pos] = c
@@ -138,8 +143,9 @@ class WaveletBasis:
         """Columns are the wavelet functions over lexicographic full rankings:
         the marginal system of the one-subset design {1..n}."""
         if self._matrix is None:
-            check_marginal_system(self._design)
-            self._matrix = _marginal_system(self._design, self.forms)[0]
+            design = ObservationDesign([range(1, self.n + 1)], self.n)
+            check_marginal_system(design)
+            self._matrix = _marginal_system(design, self.forms)
         return self._matrix
 
     def lu(self) -> _SubsetTriangular:
@@ -237,51 +243,66 @@ class CoefficientVector:
             return cls.from_json(json.load(fh))
 
 
+@lru_cache(maxsize=None)
+def _chain_matrix(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """X_k, the +-1 chain matrix of the derangements of 1..k, as (row,
+    column, sign) triples in column order: rows the k! words of 1..k in
+    lexicographic order, columns derangement_forms(1..k).  And each
+    column's cycles -> column, where other supports look up their forms
+    relabelled onto 1..k: derangement_forms text-sorts labels above 9."""
+    letters = permutations(range(1, k + 1))
+    row_of = {"".join(map(chr, p)): i for i, p in enumerate(letters)}
+    column = {form.cycles: j for j, form in enumerate(derangement_forms(range(1, k + 1)))}
+    flat = (v for j, c in enumerate(column) for w, s in chain_terms(c) for v in (row_of[w], j, s))
+    return *np.fromiter(flat, dtype=np.int32).reshape(-1, 3).T, column
+
+
+def _placements(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ranking index of the k-subsets of 1..m, subsets in combinations
+    order and rankings in lexicographic order.  rank[s, a]: the
+    lexicographic rank, among the k! words of its letters, of ranking s
+    restricted to subset a.  contiguous[s, a]: subset a stands together
+    in ranking s, the only places where its wavelets are nonzero."""
+    # place[s, a, i]: where the i-th smallest letter of subset a stands in
+    # ranking s.  Letter by letter, so that temporaries stay place-sized,
+    # rank adds (smaller letters after it) * (letters after it)!
+    positions = np.argsort(np.array(list(permutations(range(m)))), axis=1)
+    place = positions.astype(np.int8)[:, np.array(list(combinations(range(m), k)))]
+    fact = np.array([factorial(i) for i in range(k)], dtype=np.int32)
+    rank = 0
+    for i in range(k):
+        after = place > place[..., i, None]  # after[..., j]: j comes after i
+        lehmer = after[..., :i].sum(axis=-1, dtype=np.int32)
+        rank = rank + lehmer * fact[after.sum(axis=-1, dtype=np.int8)]
+    return rank, place.max(axis=-1) - place.min(axis=-1) == k - 1
+
+
 class _Level:
     """The wavelets whose support has k items, for every k-subset at once.
 
-    x: X_k as a sparse matrix, rows the k! words of 1..k in lexicographic
-    order, columns derangement_forms(1..k); relabelling 1..k to a subset
-    keeps both orders for the one-digit labels of n <= MAX_N.  factor: the
-    Cholesky factor of X_k^T X_k.  span: the level's coefficients in basis
-    order, subset by subset, set by _SubsetTriangular.  marginal_slot: for
-    each full ranking (row-major) and each k-subset a (in combinations
-    order), a * k! plus the rank of the ranking's restriction to the
-    subset.  ranking, slot: the pairs of a ranking and a slot in which the
-    subset is contiguous, the only places where its wavelets are nonzero.
+    x: X_k (_chain_matrix), sparse.  factor: the Cholesky factor of
+    X_k^T X_k.  span: the level's coefficients in basis order, subset by
+    subset, set by _SubsetTriangular.  From _placements(n, k):
+    marginal_slot, for each full ranking (row-major) and k-subset a, a * k!
+    plus the rank of the ranking's restriction to a; ranking, slot: the
+    pairs in which the subset is contiguous, where its wavelets are nonzero.
     """
 
-    def __init__(self, n: int, k: int, positions: np.ndarray):
+    def __init__(self, n: int, k: int):
         import scipy.sparse  # only full analysis pays for its import
 
         self.scale = factorial(n - k + 1)
-        self.size = len(positions)
-        letters = permutations(range(1, k + 1))
-        row_of = {"".join(map(chr, p)): i for i, p in enumerate(letters)}
-        rows, cols, vals = [], [], []
-        for j, form in enumerate(derangement_forms(range(1, k + 1))):
-            for word, sign in chain_terms(form.cycles):
-                rows.append(row_of[word])
-                cols.append(j)
-                vals.append(sign)
-        self.forms = j + 1
+        rows, cols, signs, column = _chain_matrix(k)
+        self.forms = len(column)
         self.x = scipy.sparse.csr_array(
-            (np.array(vals, dtype=float), (rows, cols)), shape=(len(row_of), self.forms)
+            (signs.astype(float), (rows, cols)), shape=(factorial(k), self.forms)
         )
         self.factor = scipy.linalg.cho_factor((self.x.T @ self.x).toarray())
-        subsets = np.array(list(combinations(range(n), k)))
-        self.subsets = len(subsets)
-        # place[s, a, i]: where the i-th smallest letter of subset a stands
-        # in ranking s; after[..., i, j]: letter j comes after letter i
-        place = positions[:, subsets]
-        after = place[..., None, :] > place[..., :, None]
-        later = after.sum(axis=-1)
-        lehmer = (after & np.tri(k, k, -1, dtype=bool)).sum(axis=-1)
-        fact = np.array([factorial(i) for i in range(k)])
-        rank = (lehmer * fact[later]).sum(axis=-1)
-        slot = rank + np.arange(self.subsets) * len(row_of)
+        rank, contiguous = _placements(n, k)
+        self.size, self.subsets = rank.shape
+        slot = rank + np.arange(self.subsets) * factorial(k)
         self.marginal_slot = slot.ravel()
-        self.ranking, subset = np.nonzero(place.max(axis=-1) - place.min(axis=-1) == k - 1)
+        self.ranking, subset = np.nonzero(contiguous)
         self.slot = slot[self.ranking, subset]
 
     def solve(self, rest: np.ndarray) -> np.ndarray:
@@ -314,9 +335,7 @@ class _SubsetTriangular:
                 f"{MAX_DENSE_ENTRIES} entries of the dense basis matrix at n = {LARGE_N}"
             )
         self.size = factorial(n)
-        # positions[s, a]: where letter a + 1 stands in the s-th ranking
-        positions = np.argsort(np.array(list(permutations(range(n)))), axis=1)
-        self.levels = [_Level(n, k, positions) for k in range(2, n + 1)]
+        self.levels = [_Level(n, k) for k in range(2, n + 1)]
         start = 1
         for level in self.levels:
             level.span = slice(start, start + level.forms * level.subsets)
@@ -393,6 +412,8 @@ def decompose(f: Chain, basis: WaveletBasis, allow_large: bool = False) -> Coeff
 
 def synthesize(c: CoefficientVector, basis: WaveletBasis) -> Chain:
     """The chain with the given wavelet coefficients."""
+    if c.n != basis.n:
+        raise ValueError(f"coefficients are for n = {c.n}, the basis for n = {basis.n}")
     vec = np.zeros(len(basis))
     for key, value in c.coeffs.items():
         if key not in basis._index:
@@ -443,65 +464,6 @@ def check_marginal_system(design: ObservationDesign) -> tuple[int, int]:
     return rows, cols
 
 
-class _SubsetRows:
-    """The rankings of one subset in lexicographic order, and for each word
-    inside the subset the rows of its contiguous extensions, listed once
-    and shared by every key whose chain holds that word."""
-
-    __slots__ = ("items", "n", "words", "_row", "_extensions")
-
-    def __init__(self, items: frozenset[int], n: int):
-        self.items = items
-        self.n = n
-        self.words = all_words(items, n)
-        self._row = {w.letters: i for i, w in enumerate(self.words)}
-        self._extensions: dict[tuple[int, ...], list[int]] = {}
-
-    def extension_rows(self, letters: tuple[int, ...]) -> list[int]:
-        rows = self._extensions.get(letters)
-        if rows is None:
-            missing = sorted(self.items.difference(letters))
-            rows = []
-            for split in range(len(missing) + 1):
-                for left in permutations(missing, split):
-                    rest = [b for b in missing if b not in left]
-                    for right in permutations(rest):
-                        rows.append(self._row[left + letters + tuple(right)])
-            self._extensions[letters] = rows
-        return rows
-
-    def marginal(self, support: frozenset[int], terms: list) -> list[tuple[int, int]]:
-        """(row, value) pairs of the closed-form marginal on the subset of a
-        wavelet given by its support and chain_words, as marginal_wavelet
-        gives it: exact integers, zeros left out."""
-        n = self.n
-        if not support:
-            value = factorial(n) // factorial(len(self.items))
-            return [(row, value) for row in range(len(self.words))]
-        if not support <= self.items:
-            return []
-        k = len(support)
-        scale = factorial(n - k + 1) // factorial(len(self.items) - k + 1)
-        return [
-            (row, sign * scale)
-            for letters, sign in terms
-            for row in self.extension_rows(letters)
-        ]
-
-
-@lru_cache(maxsize=32)
-def _subset_rows(items: frozenset[int], n: int) -> _SubsetRows:
-    return _SubsetRows(items, n)
-
-
-def _chain_words(form: CycleForm) -> tuple[frozenset[int], list[tuple[tuple[int, ...], int]]]:
-    """Support and signed chain words (as letter tuples) of psi_form, from
-    the closed form; the identity has neither."""
-    if not form.cycles:
-        return frozenset(), []
-    return form.support(), [(tuple(map(ord, w)), s) for w, s in chain_terms(form.cycles)]
-
-
 def check_scale(items: frozenset[int], n: int) -> None:
     """Refuse a subset whose marginal scale n!/|A|! does not fit in a float.
 
@@ -527,6 +489,41 @@ def check_listable(items: frozenset[int]) -> None:
         )
 
 
+@lru_cache(maxsize=None)
+def _contiguous_ranks(m: int, k: int) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
+    """_placements(m, k) by subset: each k-subset of range(m) -> the
+    rankings in which it stands together, and their restrictions' ranks."""
+    rank, contiguous = _placements(m, k)
+    return {
+        subset: (np.flatnonzero(contiguous[:, a]), rank[contiguous[:, a], a])
+        for a, subset in enumerate(combinations(range(m), k))
+    }
+
+
+def _marginal_terms(form: CycleForm, items: frozenset[int], n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The closed-form marginal of psi_form on the rankings of items, which
+    hold its support, as marginal_wavelet gives it: rows (lexicographic),
+    their signs, and the integer scale of them all.  Other than the
+    constant, the rows are those where the support stands together."""
+    m = len(items)
+    if not form.cycles:
+        rows = np.arange(factorial(m))
+        return rows, np.ones_like(rows), factorial(n) // factorial(m)
+    support = form.support()
+    k = len(support)
+    scale = factorial(n - k + 1) // factorial(m - k + 1)
+    letters = tuple(i for i, b in enumerate(sorted(items)) if b in support)
+    placed, ranks = _contiguous_ranks(m, k)[letters]
+    rows, cols, signs, column = _chain_matrix(k)
+    label = {b: i for i, b in enumerate(sorted(support), 1)}
+    j = column[tuple(tuple(label[b] for b in cycle) for cycle in form.cycles)]
+    lo, hi = np.searchsorted(cols, [j, j + 1])
+    x = np.zeros(factorial(k), dtype=signs.dtype)
+    x[rows[lo:hi]] = signs[lo:hi]
+    sign = x[ranks]
+    return placed[sign != 0], sign[sign != 0], scale
+
+
 def synthesize_marginals(c: CoefficientVector, subsets) -> dict[frozenset[int], Chain]:
     """Marginals on each subset of the function with coefficients c.
 
@@ -545,16 +542,17 @@ def synthesize_marginals(c: CoefficientVector, subsets) -> dict[frozenset[int], 
             )
         check_listable(items)
         check_scale(items, c.n)
-    wavelets = [
-        (_chain_words(_parse_key(key)), value) for key, value in c.coeffs.items()
-    ]
+    forms = [_parse_key(key) for key in c.coeffs]
+    wavelets = [(form, form.support(), value) for form, value in zip(forms, c.coeffs.values())]
     out = {}
     for items in subsets:
-        rows = _subset_rows(items, c.n)
         acc: dict[int, float] = {}
-        for (support, terms), value in wavelets:
-            for row, count in rows.marginal(support, terms):
-                term = count * value
+        for form, support, value in wavelets:
+            if not support <= items:
+                continue
+            rows, signs, scale = _marginal_terms(form, items, c.n)
+            for row, sign in zip(rows.tolist(), signs.tolist()):
+                term = sign * scale * value
                 if not _pruned(term):
                     continue
                 total = acc.get(row, 0) + term
@@ -562,29 +560,23 @@ def synthesize_marginals(c: CoefficientVector, subsets) -> dict[frozenset[int], 
                     acc[row] = total
                 else:
                     acc.pop(row, None)
-        out[rows.items] = Chain._make({rows.words[row]: v for row, v in acc.items()}, c.n)
+        words = all_words(items, c.n)
+        out[items] = Chain._make({words[row]: v for row, v in acc.items()}, c.n)
     return out
 
 
-def _marginal_system(design: ObservationDesign, forms: list[CycleForm]) -> tuple[np.ndarray, list[_SubsetRows]]:
+def _marginal_system(design: ObservationDesign, forms: list[CycleForm]) -> np.ndarray:
     """The matrix of closed-form wavelet marginals: one column per form,
     one row per ranking of each design subset, subsets in design order."""
-    blocks = [_subset_rows(subset, design.n) for subset in design]
-    row_idx: list[int] = []
-    col_idx: list[int] = []
-    values: list[int] = []
+    mat = np.zeros((sum(factorial(len(items)) for items in design), len(forms)))
     for j, form in enumerate(forms):
-        support, terms = _chain_words(form)
-        offset = 0
-        for block in blocks:
-            for row, value in block.marginal(support, terms):
-                row_idx.append(offset + row)
-                col_idx.append(j)
-                values.append(value)
-            offset += len(block.words)
-    mat = np.zeros((offset, len(forms)))
-    mat[row_idx, col_idx] = values
-    return mat, blocks
+        support, offset = form.support(), 0
+        for items in design:
+            if support <= items:
+                rows, signs, scale = _marginal_terms(form, items, design.n)
+                mat[offset + rows, j] = signs * float(scale)
+            offset += factorial(len(items))
+    return mat
 
 
 def decompose_marginals(
@@ -605,8 +597,8 @@ def decompose_marginals(
         raise ProjectivityError(report)
     forms = design_forms(design)
     keys = [str(form) for form in forms]
-    mat, blocks = _marginal_system(design, forms)
-    rhs = np.array([fam[b.items](w) for b in blocks for w in b.words], dtype=float)
+    mat = _marginal_system(design, forms)
+    rhs = np.array([fam[s](w) for s in design for w in all_words(s, design.n)], dtype=float)
     coeffs, _, rank, _ = scipy.linalg.lstsq(
         mat,
         rhs,
@@ -643,6 +635,8 @@ def dezoom(f: Chain, k: int, basis: WaveletBasis, allow_large: bool = False) -> 
     by supports of size at most k, which is the unique element of the
     scale-k space sharing all size-k marginals with f.
     """
+    if f.n != basis.n:
+        raise ValueError(f"f is a chain for n = {f.n}, the basis for n = {basis.n}")
     if k == 0:
         mean = f.total_mass() / factorial(basis.n)
         ones = Chain.indicator(basis.words, basis.n)

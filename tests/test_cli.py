@@ -668,3 +668,27 @@ def test_commands_reject_options_they_do_not_read(tmp_path, capsys):
         assert exc.value.code == 2, argv
         _, err = capsys.readouterr()
         assert "unrecognized arguments" in err
+
+
+def test_marginal_uniform_refuses_n_whose_factorial_overflows(tmp_path, capsys):
+    # 171!/4! fits in a float, but the uniform coefficient 1/171! needs 171!
+    for n, expected in ((171, 2), (170, 0)):
+        design = write_design(tmp_path, [[1, 2, 3, 4]], n)
+        code, out, err = run(capsys, "marginal", "--uniform", "--design", design)
+        assert code == expected, n
+        if expected:
+            assert err.startswith(f"rankmra: n = {n} is too large for --uniform") and out == ""
+        else:
+            rows = list(csv.DictReader(out.splitlines()))
+            assert len(rows) == 24
+            assert all(float(r["value"]) == pytest.approx(1 / 24) for r in rows)
+
+
+def test_decompose_refuses_oversized_design_before_reading_data(tmp_path, capsys):
+    design = write_design(tmp_path, [list(range(1, 9))], 8)
+    data = tmp_path / "data.csv"
+    data.write_text("1,2,3,4,5,6,7,8\n8,7,6,5,4,3,2,1\n")
+    for path in (data, tmp_path / "missing.csv"):
+        code, out, err = run(capsys, "decompose", "--input", str(path), "--design", design)
+        assert code == 2, path
+        assert "40320 rows" in err and "projectivity:" not in err and out == ""

@@ -36,8 +36,10 @@ from rankmra import (
 from rankmra import wavelets as wavelets_module
 from rankmra.marginals import all_words
 from rankmra.mra import (
+    _marginal_system,
     basis_keys,
     check_marginal_system,
+    design_forms,
     design_keys,
     synthesize_marginals,
 )
@@ -565,3 +567,39 @@ def test_check_marginal_system_guard():
     big = ObservationDesign([range(1, 31)], 30)
     with pytest.raises(ValueError, match="at least"):
         check_marginal_system(big)
+
+
+def test_synthesize_refuses_coefficients_of_another_n(basis_for):
+    c = CoefficientVector({"id": 1 / 6, "(1 2)": 0.1}, 3)
+    with pytest.raises(ValueError, match="n = 3"):
+        synthesize(c, basis_for(4))
+
+
+def test_dezoom_refuses_chain_of_another_n(basis_for):
+    f = uniform_distribution(3)
+    for k in (0, 2):
+        with pytest.raises(ValueError, match="n = 3"):
+            dezoom(f, k, basis_for(4))
+
+
+def test_marginals_with_labels_above_9():
+    # derangement_forms of labels above 9 is in text order, not numeric
+    n = 12
+    design = ObservationDesign([[8, 9, 10], [9, 10, 11, 12], [3, 12]], n)
+    forms = design_forms(design)
+    rows = [(s, w) for s in design for w in all_words(s, n)]
+    row_pos = {pair: i for i, pair in enumerate(rows)}
+    oracle = np.zeros((len(rows), len(forms)))
+    for j, form in enumerate(forms):
+        for s in design:
+            for w, value in marginal_wavelet(form, s, n).terms.items():
+                oracle[row_pos[(s, w)], j] = value
+    assert np.array_equal(_marginal_system(design, forms), oracle)
+
+    rng = random.Random(12)
+    keys = [str(form) for form in forms]
+    c = CoefficientVector({key: rng.gauss(0, 1) for key in rng.sample(keys, 20)}, n)
+    subsets = list(design) + [frozenset([8, 9, 10, 11, 12]), frozenset([3, 10, 12])]
+    got = synthesize_marginals(c, subsets)
+    for subset in subsets:
+        assert got[subset] == _chain_sum_marginal(c, subset)
