@@ -77,15 +77,21 @@ def _write_lines(output: str | None, lines: Iterable[str]) -> int:
     return EXIT_OK
 
 
+def _write_rows(output: str | None, rows: Iterable[list]) -> int:
+    """Write CSV rows to --output, or to stdout, all formatted before the
+    file is opened, so that a failure on the way leaves no partial file."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return _write_lines(output, (buf.getvalue(),))
+
+
 def _load_design(path: str) -> ObservationDesign:
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        return ObservationDesign.load(path)
     except OSError as exc:
         raise OSError(f"cannot read design {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed design JSON: {exc}") from exc
-    return ObservationDesign.from_json(payload)
 
 
 def _load_coefficients(path: str) -> CoefficientVector:
@@ -171,15 +177,15 @@ def cmd_marginal(args: argparse.Namespace) -> int:
                 raise ValueError(f"coefficients are for n={coeffs.n}, not {n}")
         chains = synthesize_marginals(coeffs, subsets)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["subset", "word", "value"])
-    for s in sorted(chains, key=lambda s: (len(s), sorted(s))):
-        chain = chains[s]
-        label = str(Word(tuple(sorted(s)), n))
-        for w in all_words(s, n):
-            writer.writerow([label, str(w), repr(float(chain(w)))])
-    return _write_lines(args.output, (buf.getvalue(),))
+    def rows():
+        yield ["subset", "word", "value"]
+        for s in sorted(chains, key=lambda s: (len(s), sorted(s))):
+            chain = chains[s]
+            label = str(Word(tuple(sorted(s)), n))
+            for w in all_words(s, n):
+                yield [label, str(w), repr(float(chain(w)))]
+
+    return _write_rows(args.output, rows())
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -210,8 +216,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     failures = list(report.failures)
     checks = {"deletion-annihilation": 0, "value-support-law": 0, "zero-sum": 0}
-    # the columns checked are those of the matrix that decompose factors
-    basis = build_basis(n)
+    # the columns checked are those of the matrix whose rank was taken
+    basis = report.basis
     for form, psi in zip(basis.forms[1:], basis.matrix().T[1:]):
         x = wavelet_chain(form, n).chain
         for a in form.support():
@@ -283,18 +289,18 @@ def cmd_sample(args: argparse.Namespace) -> int:
             acc += p
             cumulative.append(acc)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for _ in range(args.count):
-        subset = subsets[rng.randrange(len(subsets))]
-        if density is None:
-            letters = list(range(1, n + 1))
-            rng.shuffle(letters)
-            sigma = Word(tuple(letters), n)
-        else:
-            sigma = words[bisect.bisect_left(cumulative, rng.random() * cumulative[-1])]
-        writer.writerow(list(restrict(sigma, subset).letters))
-    return _write_lines(args.output, (buf.getvalue(),))
+    def rows():
+        for _ in range(args.count):
+            subset = subsets[rng.randrange(len(subsets))]
+            if density is None:
+                letters = list(range(1, n + 1))
+                rng.shuffle(letters)
+                sigma = Word(tuple(letters), n)
+            else:
+                sigma = words[bisect.bisect_left(cumulative, rng.random() * cumulative[-1])]
+            yield list(restrict(sigma, subset).letters)
+
+    return _write_rows(args.output, rows())
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -304,12 +310,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise ValueError(f"coefficients are for n={n}, not {args.n}")
     basis = _full_basis(n, args.allow_large_n)
     chain = synthesize(coeffs, basis)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["word", "value"])
-    for w in basis.words:
-        writer.writerow([str(w), repr(float(chain(w)))])
-    return _write_lines(args.output, (buf.getvalue(),))
+    rows = ([str(w), repr(float(chain(w)))] for w in basis.words)
+    return _write_rows(args.output, [["word", "value"], *rows])
 
 
 def build_parser() -> argparse.ArgumentParser:

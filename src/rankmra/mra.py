@@ -59,7 +59,7 @@ from .perms import (
     scale_dimension,
 )
 from .wavelets import LARGE_N, MAX_DENSE_ENTRIES, MAX_N, WaveletFunction, chain_terms, wavelet
-from .words import Chain, Word, _pruned
+from .words import Chain, Word, _accumulate, _pruned
 
 RESIDUAL_REL_TOL = 1e-9
 
@@ -128,9 +128,11 @@ class WaveletBasis:
         return {w.letters: i for i, w in enumerate(self.words)}
 
     def chain_to_vector(self, f: Chain) -> np.ndarray:
+        if f.n != self.n:
+            raise ValueError(f"f is a chain for n = {f.n}, the basis for n = {self.n}")
         vec = np.zeros(len(self.words))
         for w, c in f.terms.items():
-            pos = self._row.get(w.letters) if f.n == self.n else None
+            pos = self._row.get(w.letters)
             if pos is None:
                 raise ValueError(f"word {w} is not a full ranking of 1..{self.n}")
             vec[pos] = c
@@ -244,17 +246,23 @@ class CoefficientVector:
 
 
 @lru_cache(maxsize=None)
-def _chain_matrix(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+def _word_rows(k: int) -> dict[str, int]:
+    """The lexicographic row of each word of 1..k, encoded as in chain_terms."""
+    return {"".join(map(chr, p)): i for i, p in enumerate(permutations(range(1, k + 1)))}
+
+
+@lru_cache(maxsize=None)
+def _chain_matrix(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """X_k, the +-1 chain matrix of the derangements of 1..k, as (row,
     column, sign) triples in column order: rows the k! words of 1..k in
-    lexicographic order, columns derangement_forms(1..k).  And each
-    column's cycles -> column, where other supports look up their forms
-    relabelled onto 1..k: derangement_forms text-sorts labels above 9."""
-    letters = permutations(range(1, k + 1))
-    row_of = {"".join(map(chr, p)): i for i, p in enumerate(letters)}
-    column = {form.cycles: j for j, form in enumerate(derangement_forms(range(1, k + 1)))}
-    flat = (v for j, c in enumerate(column) for w, s in chain_terms(c) for v in (row_of[w], j, s))
-    return *np.fromiter(flat, dtype=np.int32).reshape(-1, 3).T, column
+    lexicographic order, columns derangement_forms(1..k)."""
+    row_of = _word_rows(k)
+    forms = derangement_forms(range(1, k + 1))
+    flat = (
+        v for j, form in enumerate(forms) for w, s in chain_terms(form.cycles)
+        for v in (row_of[w], j, s)
+    )
+    return tuple(np.fromiter(flat, dtype=np.int32).reshape(-1, 3).T)
 
 
 def _placements(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -292,8 +300,8 @@ class _Level:
         import scipy.sparse  # only full analysis pays for its import
 
         self.scale = factorial(n - k + 1)
-        rows, cols, signs, column = _chain_matrix(k)
-        self.forms = len(column)
+        rows, cols, signs = _chain_matrix(k)
+        self.forms = derangement_number(k)
         self.x = scipy.sparse.csr_array(
             (signs.astype(float), (rows, cols)), shape=(factorial(k), self.forms)
         )
@@ -514,12 +522,13 @@ def _marginal_terms(form: CycleForm, items: frozenset[int], n: int) -> tuple[np.
     scale = factorial(n - k + 1) // factorial(m - k + 1)
     letters = tuple(i for i, b in enumerate(sorted(items)) if b in support)
     placed, ranks = _contiguous_ranks(m, k)[letters]
-    rows, cols, signs, column = _chain_matrix(k)
+    # X_k's column of the form relabelled onto 1..k; keeping the order of
+    # the labels keeps the form standard
     label = {b: i for i, b in enumerate(sorted(support), 1)}
-    j = column[tuple(tuple(label[b] for b in cycle) for cycle in form.cycles)]
-    lo, hi = np.searchsorted(cols, [j, j + 1])
-    x = np.zeros(factorial(k), dtype=signs.dtype)
-    x[rows[lo:hi]] = signs[lo:hi]
+    row_of = _word_rows(k)
+    x = np.zeros(factorial(k), dtype=np.int32)
+    for w, s in chain_terms(tuple(tuple(label[b] for b in cycle) for cycle in form.cycles)):
+        x[row_of[w]] = s
     sign = x[ranks]
     return placed[sign != 0], sign[sign != 0], scale
 
@@ -551,15 +560,9 @@ def synthesize_marginals(c: CoefficientVector, subsets) -> dict[frozenset[int], 
             if not support <= items:
                 continue
             rows, signs, scale = _marginal_terms(form, items, c.n)
-            for row, sign in zip(rows.tolist(), signs.tolist()):
-                term = sign * scale * value
-                if not _pruned(term):
-                    continue
-                total = acc.get(row, 0) + term
-                if _pruned(total):
-                    acc[row] = total
-                else:
-                    acc.pop(row, None)
+            term = scale * value
+            if _pruned(term):  # its terms are +-term, so they prune together
+                _accumulate(zip(rows.tolist(), [sign * term for sign in signs.tolist()]), acc)
         words = all_words(items, c.n)
         out[items] = Chain._make({words[row]: v for row, v in acc.items()}, c.n)
     return out
@@ -658,6 +661,7 @@ class DimensionReport:
     rank: int | None = None
     eig_sums: list[tuple[int, int, int]] = field(default_factory=list)  # k, found, expected
     failures: list[str] = field(default_factory=list)
+    basis: WaveletBasis | None = field(default=None, repr=False, compare=False)  # whose rank was taken
 
     @property
     def passed(self) -> bool:
@@ -705,7 +709,7 @@ def verify_dimensions(n: int) -> DimensionReport:
         report.failures.append(f"total {total} differs from {factorial(n)}")
 
     if n < LARGE_N:
-        basis = build_basis(n)
+        basis = report.basis = build_basis(n)
         if len(basis) != factorial(n):
             report.failures.append(
                 f"basis has {len(basis)} elements, expected {factorial(n)}"

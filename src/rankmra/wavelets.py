@@ -18,7 +18,7 @@ from math import factorial
 
 from .marginals import all_words, contiguous_extensions, extensions
 from .perms import CycleForm, Permutation, standard_cycle_form
-from .words import Chain, Word, _pruned, content, diamond
+from .words import Chain, Word, _accumulate, content, diamond
 
 # Scale policy of the package, imported by every module that needs it.
 MAX_N = 8  # the largest n whose full rankings are ever listed
@@ -125,15 +125,8 @@ def wavelet_chain(t: Permutation | CycleForm, n: int | None = None) -> WaveletCh
 def _embed(x: Chain, items: frozenset[int]) -> Chain:
     """Sum of c times the indicator of the contiguous extensions of w into
     the rankings of items, over the terms c*w of x, built in one dict."""
-    out: dict = {}
-    for w, c in x.terms.items():
-        for v in contiguous_extensions(w, items):
-            s = out.get(v, 0) + c
-            if _pruned(s):
-                out[v] = s
-            else:
-                out.pop(v, None)
-    return Chain._make(out, x.n)
+    pairs = ((v, c) for w, c in x.terms.items() for v in contiguous_extensions(w, items))
+    return Chain._make(_accumulate(pairs), x.n)
 
 
 def embed(x: Chain) -> Chain:
@@ -153,10 +146,8 @@ def embed_into(x: Chain, items) -> Chain:
 def naive_embed(x: Chain) -> Chain:
     """Negative control: extend by subwords (all insertions), not contiguously."""
     full = frozenset(range(1, x.n + 1))
-    out = Chain.zero(x.n)
-    for w, c in x.terms.items():
-        out = out + c * Chain.indicator(extensions(w, full), x.n)
-    return out
+    pairs = ((v, c) for w, c in x.terms.items() for v in extensions(w, full))
+    return Chain._make(_accumulate(pairs), x.n)
 
 
 def wavelet(t: Permutation | CycleForm, n: int | None = None) -> WaveletFunction:

@@ -138,6 +138,21 @@ def _pruned(coeff) -> bool:
     return abs(coeff) > FLOAT_PRUNE_TOL
 
 
+def _accumulate(pairs: Iterable[tuple], out: dict | None = None) -> dict:
+    """Sum (key, coefficient) pairs in order into out (a new dict without
+    it), dropping a key as soon as its running total prunes to zero: the
+    one summation of the chain builders (parse_chain aside, see there)."""
+    if out is None:
+        out = {}
+    for key, c in pairs:
+        s = out.get(key, 0) + c
+        if _pruned(s):
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
 class Chain:
     """A sparse linear combination of injective words over a fixed universe.
 
@@ -206,14 +221,7 @@ class Chain:
     def __add__(self, other: "Chain") -> "Chain":
         if self.n != other.n:
             raise ValueError(f"universe mismatch: {self.n} vs {other.n}")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if _pruned(s):
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return Chain._make(out, self.n)
+        return Chain._make(_accumulate(other.terms.items(), dict(self.terms)), self.n)
 
     def __sub__(self, other: "Chain") -> "Chain":
         return self + (-other)
@@ -245,15 +253,7 @@ class Chain:
 
     def map_words(self, fn) -> "Chain":
         """Linear extension of a word map fn: Word -> Word."""
-        out: dict = {}
-        for w, c in self.terms.items():
-            img = fn(w)
-            s = out.get(img, 0) + c
-            if _pruned(s):
-                out[img] = s
-            else:
-                out.pop(img, None)
-        return Chain._make(out, self.n)
+        return Chain._make(_accumulate((fn(w), c) for w, c in self.terms.items()), self.n)
 
     def __str__(self) -> str:
         return format_chain(self)
@@ -279,7 +279,12 @@ def format_chain(x: Chain) -> str:
 
 
 def parse_chain(text: str, n: int) -> Chain:
-    """Inverse of format_chain for integer and float coefficients."""
+    """Inverse of format_chain for integer and float coefficients.
+
+    Terms are summed first and validated by Chain() after, not through
+    _accumulate: "+1e999*12 -1e999*12" sums to NaN, which pruning would
+    drop before Chain() could refuse it.
+    """
     text = text.strip()
     if text == "0" or not text:
         return Chain.zero(n)
@@ -303,13 +308,7 @@ def parse_chain(text: str, n: int) -> Chain:
 
 def delete(x: Chain, a: int) -> Chain:
     """Erase letter a from every word that contains it; fix the others."""
-
-    def drop(w: Word) -> Word:
-        if a in w.letters:
-            return Word._make(tuple(b for b in w.letters if b != a), w.n)
-        return w
-
-    return x.map_words(drop)
+    return delete_set(x, (a,))
 
 
 def delete_set(x: Chain, items: Iterable[int]) -> Chain:
@@ -328,18 +327,15 @@ def concat(x: Chain, y: Chain) -> Chain:
     """Bilinear concatenation: words with overlapping content multiply to 0."""
     if x.n != y.n:
         raise ValueError(f"universe mismatch: {x.n} vs {y.n}")
-    out: dict = {}
-    for w1, c1 in x.terms.items():
-        set1 = set(w1.letters)
-        for w2, c2 in y.terms.items():
-            if set1.isdisjoint(w2.letters):
-                w = Word._make(w1.letters + w2.letters, x.n)
-                s = out.get(w, 0) + c1 * c2
-                if _pruned(s):
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-    return Chain._make(out, x.n)
+
+    def products():
+        for w1, c1 in x.terms.items():
+            set1 = set(w1.letters)
+            for w2, c2 in y.terms.items():
+                if set1.isdisjoint(w2.letters):
+                    yield Word._make(w1.letters + w2.letters, x.n), c1 * c2
+
+    return Chain._make(_accumulate(products()), x.n)
 
 
 def diamond(x: Chain, y: Chain) -> Chain:

@@ -27,6 +27,7 @@ from rankmra import (
     synthesize,
     wavelet_chain,
 )
+from rankmra import mra as mra_module
 from rankmra import wavelets as wavelets_module
 from rankmra.cli import main
 from rankmra.mra import check_marginal_system
@@ -111,6 +112,17 @@ def test_verify_pass_and_totals(capsys):
 def test_verify_bounds(capsys):
     assert run(capsys, "verify", "--n", "1")[0] == 2
     assert run(capsys, "verify", "--n", "7")[0] == 2
+
+
+def test_verify_builds_the_basis_matrix_once(capsys, monkeypatch):
+    calls = []
+    system = mra_module._marginal_system
+    monkeypatch.setattr(
+        mra_module, "_marginal_system", lambda *args: calls.append(args) or system(*args)
+    )
+    code, out, _ = run(capsys, "verify", "--n", "4")
+    assert code == 0 and "all checks passed" in out
+    assert len(calls) == 1
 
 
 def test_verify_corruption_hook(capsys, monkeypatch):

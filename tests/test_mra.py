@@ -36,6 +36,7 @@ from rankmra import (
 from rankmra import wavelets as wavelets_module
 from rankmra.marginals import all_words
 from rankmra.mra import (
+    _chain_matrix,
     _marginal_system,
     basis_keys,
     check_marginal_system,
@@ -580,6 +581,21 @@ def test_dezoom_refuses_chain_of_another_n(basis_for):
     for k in (0, 2):
         with pytest.raises(ValueError, match="n = 3"):
             dezoom(f, k, basis_for(4))
+
+
+def test_decompose_refuses_chain_of_another_n(basis_for):
+    # a chain with no terms has no word to betray its n
+    with pytest.raises(ValueError, match="n = 3"):
+        decompose(Chain.zero(3), basis_for(4))
+
+
+def test_marginal_of_an_eight_item_support_reads_one_chain():
+    # one key whose support has 8 items needs its own chain, not all of X_8
+    c = CoefficientVector({"id": 1 / factorial(8), "(1 2 3 4 5 6 7 8)": 1e-6}, 8)
+    _chain_matrix.cache_clear()
+    got = synthesize_marginals(c, [range(1, 9)])
+    assert _chain_matrix.cache_info().currsize == 0
+    assert got[frozenset(range(1, 9))] == _chain_sum_marginal(c, range(1, 9))
 
 
 def test_marginals_with_labels_above_9():

@@ -13,16 +13,21 @@ from rankmra import (
     Word,
     concat,
     content,
+    contiguous_extensions,
     delete,
     delete_set,
     diamond,
+    embed_into,
     epsilon,
+    extensions,
     format_chain,
     insert_at,
+    naive_embed,
     parse_chain,
     restrict,
     translate,
 )
+from rankmra.words import _pruned
 
 
 def w(text: str, n: int) -> Word:
@@ -251,3 +256,78 @@ def test_word_text_round_trip_property(word):
 @given(sparse_chains())
 def test_chain_text_round_trip_property(x):
     assert parse_chain(format_chain(x), x.n) == x
+
+
+def _running_sum(pairs, out=None) -> dict:
+    """The pruning loop each chain builder carried inline before they
+    shared one: a running total that prunes to zero drops its key."""
+    out = {} if out is None else out
+    for key, c in pairs:
+        s = out.get(key, 0) + c
+        if _pruned(s):
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+PRUNE_N = 4
+# ints, +-1, floats on both sides of the 1e-12 pruning tolerance, and
+# ordinary floats; pairs of chains also share negated terms, so that sums
+# cancel exactly
+near_tolerance = st.sampled_from([1e-12, -1e-12, 6e-13, -6e-13, 1.5e-12, -1.5e-12, 2.5e-12])
+prune_coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([1, -1]),
+    near_tolerance,
+    st.floats(-2, 2, allow_nan=False),
+)
+
+
+@st.composite
+def chain_pairs(draw):
+    """Two chains on 1..PRUNE_N whose terms overlap, cancel or nearly do."""
+    words = injective_words(PRUNE_N)
+    x = draw(st.dictionaries(words, prune_coefficients, max_size=6))
+    y = draw(st.dictionaries(words, prune_coefficients, max_size=6))
+    for w in draw(st.lists(st.sampled_from(sorted(x)), max_size=3)) if x else ():
+        y[w] = -x[w]
+    return Chain(x, PRUNE_N), Chain(y, PRUNE_N)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_pairs(), st.permutations(range(1, PRUNE_N + 1)), st.sets(st.integers(1, PRUNE_N)))
+def test_chain_builders_prune_running_totals(pair, images, items):
+    x, y = pair
+    n, full = PRUNE_N, frozenset(range(1, PRUNE_N + 1))
+
+    def reference(pairs, out=None):
+        return Chain._make(_running_sum(pairs, out), n)
+
+    assert x + y == reference(y.terms.items(), dict(x.terms))
+    assert x - y == reference(((w, -c) for w, c in y.terms.items()), dict(x.terms))
+    dropped = [(Word([b for b in w.letters if b not in items], n), c) for w, c in x.terms.items()]
+    assert delete_set(x, items) == reference(dropped)
+    relabelled = [(Word([images[a - 1] for a in w.letters], n), c) for w, c in x.terms.items()]
+    assert translate(x, Permutation(images)) == reference(relabelled)
+    products = [
+        (Word(w1.letters + w2.letters, n), c1 * c2)
+        for w1, c1 in x.terms.items()
+        for w2, c2 in y.terms.items()
+        if set(w1.letters).isdisjoint(w2.letters)
+    ]
+    assert concat(x, y) == reference(products)
+    assert embed_into(x, full) == reference(
+        (v, c) for w, c in x.terms.items() for v in contiguous_extensions(w, full)
+    )
+    assert naive_embed(x) == reference(
+        (v, c) for w, c in x.terms.items() for v in extensions(w, full)
+    )
+
+
+def test_parse_chain_refuses_a_sum_that_is_not_finite():
+    # parse_chain sums its terms before Chain() validates them, so a NaN
+    # total is refused rather than pruned away
+    for text in ("+nan*12", "+1e999*12 -1e999*12"):
+        with pytest.raises(ValueError):
+            parse_chain(text, 2)
