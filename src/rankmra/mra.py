@@ -19,13 +19,20 @@ and whether that subset stands together in them.  A marginal of psi_tau
 is X_k's column of tau read at those ranks, where supp tau is contiguous.
 
 Marginal-domain analysis assembles its system from closed-form wavelet
-marginals only, so it never materializes the full ranking space.
-The marginal system is solved by column-pivoted QR (LAPACK gelsy).  It is
-full rank and sparse but not well conditioned (about 7e4 on a 1498 x 1450
-system at n = 8).  QR keeps the error near cond * eps, as an SVD does, at
-under half its cost; the normal equations would square the condition
-number to about 5e9, too close to the 1e-9 agreement the coefficients are
-held to.
+marginals only, so it never materializes the full ranking space.  By
+localization the system is block-angular: the rows of a design subset A
+touch only the forms whose support lies in A, and few of those are held by
+another subset too (41 of 1450 columns on a seven-subset design at n = 8).
+So it is solved one subset at a time: a Householder QR of A's block,
+private columns first, reduces it to a triangle for A's private
+coefficients and a few rows on the shared ones; the stacked rows are
+solved by an SVD least squares, and each triangle back-substitutes.  The
+result is the least-squares solution of the whole system, and no step
+forms normal equations: the system is not well conditioned (about 7e4 on
+the design above), and squaring that to about 5e9 would come too close to
+the 1e-9 agreement the coefficients are held to.  QR and SVD keep the
+error near cond * eps.  Only numpy is needed; scipy is imported by full
+analysis alone.
 """
 
 from __future__ import annotations
@@ -38,7 +45,6 @@ from math import comb, factorial, isfinite
 from typing import Iterator
 
 import numpy as np
-import scipy.linalg
 
 from .marginals import (
     MarginalFamily,
@@ -289,15 +295,17 @@ class _Level:
     """The wavelets whose support has k items, for every k-subset at once.
 
     x: X_k (_chain_matrix), sparse.  factor: the Cholesky factor of
-    X_k^T X_k.  span: the level's coefficients in basis order, subset by
-    subset, set by _SubsetTriangular.  From _placements(n, k):
+    X_k^T X_k, and cho_solve scipy's solver for it.  span: the level's
+    coefficients in basis order, subset by subset, set by
+    _SubsetTriangular.  From _placements(n, k):
     marginal_slot, for each full ranking (row-major) and k-subset a, a * k!
     plus the rank of the ranking's restriction to a; ranking, slot: the
     pairs in which the subset is contiguous, where its wavelets are nonzero.
     """
 
     def __init__(self, n: int, k: int):
-        import scipy.sparse  # only full analysis pays for its import
+        import scipy.linalg  # only full analysis pays for scipy's import
+        import scipy.sparse
 
         self.scale = factorial(n - k + 1)
         rows, cols, signs = _chain_matrix(k)
@@ -306,6 +314,7 @@ class _Level:
             (signs.astype(float), (rows, cols)), shape=(factorial(k), self.forms)
         )
         self.factor = scipy.linalg.cho_factor((self.x.T @ self.x).toarray())
+        self.cho_solve = scipy.linalg.cho_solve
         rank, contiguous = _placements(n, k)
         self.size, self.subsets = rank.shape
         slot = rank + np.arange(self.subsets) * factorial(k)
@@ -322,7 +331,9 @@ class _Level:
             minlength=self.subsets * self.x.shape[0],
         )
         rhs = self.x.T @ marginals.reshape(self.subsets, -1).T
-        return scipy.linalg.cho_solve(self.factor, rhs / self.scale)
+        # the factor was checked once by cho_factor; a non-finite result
+        # still fails the residual gate of _analyze
+        return self.cho_solve(self.factor, rhs / self.scale, check_finite=False)
 
     def synthesize(self, block: np.ndarray) -> np.ndarray:
         """The function on the full rankings of the coefficients in block."""
@@ -508,6 +519,17 @@ def _contiguous_ranks(m: int, k: int) -> dict[tuple[int, ...], tuple[np.ndarray,
     }
 
 
+@lru_cache(maxsize=1 << 12)
+def _chain_column(cycles: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """X_k's column of a standard cycle form of a derangement of 1..k: the
+    rows (lexicographic words of 1..k) of its nonzero entries and their
+    signs.  Bounded, as X_8 alone has 14 833 columns."""
+    row_of = _word_rows(sum(map(len, cycles)))
+    terms = chain_terms(cycles)
+    rows = np.fromiter((row_of[w] for w, _ in terms), dtype=np.intp, count=len(terms))
+    return rows, np.fromiter((s for _, s in terms), dtype=np.int32, count=len(terms))
+
+
 def _marginal_terms(form: CycleForm, items: frozenset[int], n: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The closed-form marginal of psi_form on the rankings of items, which
     hold its support, as marginal_wavelet gives it: rows (lexicographic),
@@ -522,13 +544,11 @@ def _marginal_terms(form: CycleForm, items: frozenset[int], n: int) -> tuple[np.
     scale = factorial(n - k + 1) // factorial(m - k + 1)
     letters = tuple(i for i, b in enumerate(sorted(items)) if b in support)
     placed, ranks = _contiguous_ranks(m, k)[letters]
-    # X_k's column of the form relabelled onto 1..k; keeping the order of
-    # the labels keeps the form standard
+    # relabelled onto 1..k in the order of its labels, the form stays standard
     label = {b: i for i, b in enumerate(sorted(support), 1)}
-    row_of = _word_rows(k)
+    rows, signs = _chain_column(tuple(tuple(label[b] for b in cycle) for cycle in form.cycles))
     x = np.zeros(factorial(k), dtype=np.int32)
-    for w, s in chain_terms(tuple(tuple(label[b] for b in cycle) for cycle in form.cycles)):
-        x[row_of[w]] = s
+    x[rows] = signs
     sign = x[ranks]
     return placed[sign != 0], sign[sign != 0], scale
 
@@ -582,6 +602,63 @@ def _marginal_system(design: ObservationDesign, forms: list[CycleForm]) -> np.nd
     return mat
 
 
+def _solve_design(design: ObservationDesign, forms: list[CycleForm], rhs: np.ndarray) -> np.ndarray:
+    """The least-squares solution of _marginal_system(design, forms) against
+    rhs (rows in design order), solved one design subset at a time.
+
+    Design subset A's rows touch only the forms whose support lies in A: its
+    private columns, held by A alone, and shared ones, held by another
+    subset too.  A QR factor R of A's block [private | shared | b_A] splits
+    A's misfit into its first p_A rows (p_A private columns), a triangle
+    that back-substitutes A's private coefficients once the shared ones are
+    known, and the rows below, A's part of the reduced problem on the shared
+    columns.  The stacked reduced rows are solved by SVD least squares.
+    The cutoff is eps * max(shape) of the whole system, relative to the
+    largest singular value of the reduced rows and to the largest diagonal
+    entry of each R; the rank is the reduced rank plus the private diagonal
+    entries above it, and a rank below the number of forms raises.
+    """
+    cond = np.finfo(float).eps * max(len(rhs), len(forms))
+    supports = [form.support() for form in forms]
+    holders = {s: [a for a, items in enumerate(design) if s <= items] for s in set(supports)}
+    columns: list[list[int]] = [[] for _ in design]  # each subset's forms, basis order
+    for j, support in enumerate(supports):
+        for a in holders[support]:
+            columns[a].append(j)
+    shared = [j for j, support in enumerate(supports) if len(holders[support]) > 1]
+    reduced_column = {j: i for i, j in enumerate(shared)}
+    rank, reduced, triangles, offset = 0, [], [], 0
+    for items, held in zip(design, columns):
+        private = [j for j in held if j not in reduced_column]
+        mine = [j for j in held if j in reduced_column]
+        block = _marginal_system(ObservationDesign([items], design.n), [forms[j] for j in private + mine])
+        size = len(block)
+        r = np.linalg.qr(np.column_stack([block, rhs[offset:offset + size]]), mode="r")
+        offset += size
+        p = len(private)
+        diagonal = np.abs(np.diagonal(r)[: block.shape[1]])
+        rank += int(np.count_nonzero(diagonal[:p] > cond * diagonal.max()))
+        part = np.zeros((len(r) - p, len(shared) + 1))  # last column: right-hand side
+        part[:, [reduced_column[j] for j in mine] + [-1]] = r[p:, p:]
+        reduced.append(part)
+        triangles.append((private, mine, r[:p]))
+    coeffs = np.empty(len(forms))
+    if shared:
+        stacked = np.vstack(reduced)
+        coeffs[shared], _, reduced_rank, _ = np.linalg.lstsq(stacked[:, :-1], stacked[:, -1], rcond=cond)
+        rank += int(reduced_rank)
+    if rank < len(forms):
+        raise SolverError(
+            f"marginal system rank {rank} below dimension {len(forms)} "
+            f"for design {[sorted(s) for s in design]}"
+        )
+    for private, mine, r in triangles:
+        if private:  # R is upper triangular, so this LU does not pivot
+            p = len(private)
+            coeffs[private] = np.linalg.solve(r[:, :p], r[:, -1] - r[:, p:-1] @ coeffs[mine])
+    return coeffs
+
+
 def decompose_marginals(
     fam: MarginalFamily, projectivity_tol: float = REAL_PROJECTIVITY_TOL
 ) -> CoefficientVector:
@@ -590,8 +667,13 @@ def decompose_marginals(
     The design's system size is checked first (check_marginal_system), and
     the family must be projective at the given tolerance.  The system is
     assembled from closed-form wavelet marginals (never from full-ranking
-    vectors) and solved by least squares; a rank-deficient system for a
-    valid design is an internal error and raises with diagnostics.
+    vectors), one design subset's block at a time, and solved by least
+    squares through a QR of each block and an SVD of the few rows left on
+    the columns that subsets share (_solve_design).  Neither step squares
+    the system's condition number (about 7e4 on the bench design at
+    n = 8), so the error stays near cond * eps.  A rank-deficient system
+    for a valid design is an internal error and raises SolverError with
+    the rank and the design.
     """
     design = fam.design
     check_marginal_system(design)
@@ -599,23 +681,10 @@ def decompose_marginals(
     if not report.passed:
         raise ProjectivityError(report)
     forms = design_forms(design)
-    keys = [str(form) for form in forms]
-    mat = _marginal_system(design, forms)
     rhs = np.array([fam[s](w) for s in design for w in all_words(s, design.n)], dtype=float)
-    coeffs, _, rank, _ = scipy.linalg.lstsq(
-        mat,
-        rhs,
-        cond=np.finfo(float).eps * max(mat.shape),
-        check_finite=True,
-        lapack_driver="gelsy",
-    )
-    if rank < len(keys):
-        raise SolverError(
-            f"marginal system rank {rank} below dimension {len(keys)} "
-            f"for design {[sorted(s) for s in design]}"
-        )
+    coeffs = _solve_design(design, forms, rhs)
     return CoefficientVector(
-        {key: float(c) for key, c in zip(keys, coeffs)}, design.n, "design"
+        {str(form): float(c) for form, c in zip(forms, coeffs)}, design.n, "design"
     )
 
 

@@ -3,7 +3,10 @@
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr
@@ -704,3 +707,63 @@ def test_decompose_refuses_oversized_design_before_reading_data(tmp_path, capsys
         code, out, err = run(capsys, "decompose", "--input", str(path), "--design", design)
         assert code == 2, path
         assert "40320 rows" in err and "projectivity:" not in err and out == ""
+
+
+SCIPY_GATE = """
+import os
+import sys
+
+import rankmra.cli
+
+design, data, coeffs = sys.argv[1:]
+quiet = ["--output", os.devnull]
+for argv in (
+    ["basis", "--n", "4"],
+    ["verify", "--n", "4"],
+    ["marginal", "--n", "4", "--uniform", "--subset", "1,2,3"],
+    ["decompose", "--input", data, "--design", design],
+):
+    assert rankmra.cli.main(argv + quiet) == 0, argv
+    assert "scipy.linalg" not in sys.modules, argv
+assert rankmra.cli.main(["synth", "--input", coeffs] + quiet) == 0
+assert "scipy.linalg" in sys.modules  # full analysis still factors with it
+print("ok")
+"""
+
+
+def _tiny_design_dataset(tmp_path) -> tuple[str, str]:
+    design = write_design(tmp_path, [[1, 2], [1, 2, 3]], 3)
+    data = tmp_path / "data.csv"
+    rows = ["1,2", "2,1"] + [",".join(map(str, p)) for p in permutations(range(1, 4))]
+    data.write_text("\n".join(rows) + "\n")
+    return design, str(data)
+
+
+def test_commands_that_never_factor_leave_scipy_unloaded(tmp_path):
+    # a fresh interpreter: scipy.linalg costs about 0.2 s of start-up, which
+    # only full analysis (synth, sample --input) needs
+    design, data = _tiny_design_dataset(tmp_path)
+    coeffs = tmp_path / "coeffs.json"
+    CoefficientVector({"id": 1 / 24, "(1 2)": 0.01}, 4).save(str(coeffs))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_GATE, design, data, str(coeffs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"
+
+
+def test_decompose_assembles_one_design_subset_at_a_time(tmp_path, capsys, monkeypatch):
+    # the block-angular solve never builds the whole design system
+    design, data = _tiny_design_dataset(tmp_path)
+    sizes = []
+    system = mra_module._marginal_system
+    monkeypatch.setattr(
+        mra_module, "_marginal_system",
+        lambda design, forms: sizes.append(len(design)) or system(design, forms),
+    )
+    code, _, err = run(capsys, "decompose", "--input", data, "--design", design)
+    assert code == 0, err
+    assert sizes == [1, 1]

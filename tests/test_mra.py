@@ -8,6 +8,9 @@ from math import factorial
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankmra import (
     Chain,
@@ -33,11 +36,15 @@ from rankmra import (
     verify_dimensions,
     wavelet,
 )
+from rankmra import mra as mra_module
 from rankmra import wavelets as wavelets_module
 from rankmra.marginals import all_words
 from rankmra.mra import (
+    SolverError,
+    _chain_column,
     _chain_matrix,
     _marginal_system,
+    _solve_design,
     basis_keys,
     check_marginal_system,
     design_forms,
@@ -619,3 +626,110 @@ def test_marginals_with_labels_above_9():
     got = synthesize_marginals(c, subsets)
     for subset in subsets:
         assert got[subset] == _chain_sum_marginal(c, subset)
+
+
+# the benchmark's seven-subset design at n = 8 (1450 observable forms)
+BENCH_TEMPLATE = [[1, 2, 3, 4, 5, 6], [3, 4, 5, 6, 7, 8], [1, 2, 7, 8], [1, 3, 5], [2, 4, 6, 8], [1, 8], [2, 7]]
+
+
+def _relabelled(subsets, n, seed):
+    labels = list(range(1, n + 1))
+    random.Random(seed).shuffle(labels)
+    return ObservationDesign([[labels[a - 1] for a in s] for s in subsets], n)
+
+
+def _shared_forms(design):
+    return [str(f) for f in design_forms(design) if sum(f.support() <= s for s in design) > 1]
+
+
+def _assert_matches_gelsy(design, seed):
+    forms = design_forms(design)
+    mat = _marginal_system(design, forms)
+    rhs = np.random.default_rng(seed).normal(size=len(mat))
+    oracle, _, rank, _ = scipy.linalg.lstsq(
+        mat, rhs, cond=np.finfo(float).eps * max(mat.shape), lapack_driver="gelsy"
+    )
+    assert rank == len(forms)
+    got = _solve_design(design, forms, rhs)
+    assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_design_solve_matches_gelsy_on_the_bench_design(seed):
+    design = _relabelled(BENCH_TEMPLATE, 8, seed)
+    assert len(design_forms(design)) == 1450 and len(_shared_forms(design)) == 41
+    _assert_matches_gelsy(design, seed)
+
+
+def test_design_solve_matches_gelsy_on_edge_structures():
+    nested = ObservationDesign([[1, 2], [1, 2, 3], [1, 2, 3, 4]], 5)
+    # the 3! forms of [1, 2, 3] are all held by [1, 2, 3, 4] too, so
+    # neither [1, 2] nor [1, 2, 3] has a private column
+    assert len(_shared_forms(nested)) == factorial(3)
+    one = ObservationDesign([[2, 3, 4, 5]], 5)
+    assert _shared_forms(one) == []
+    pairs = ObservationDesign([[1, 2], [3, 4], [5, 6]], 6)
+    assert _shared_forms(pairs) == ["id"]
+    for seed, design in enumerate((nested, one, pairs)):
+        _assert_matches_gelsy(design, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.sets(st.integers(1, n), min_size=2), min_size=1, max_size=4),
+        )
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_design_solve_matches_gelsy_on_random_designs(drawn, seed):
+    n, subsets = drawn
+    _assert_matches_gelsy(ObservationDesign(subsets, n), seed)
+
+
+@pytest.mark.parametrize("key", ["(1 2)", "(2 3)"])  # private to [1, 2, 3]; shared
+def test_decompose_marginals_reports_a_rank_shortfall(key, monkeypatch):
+    design = ObservationDesign([[1, 2, 3], [2, 3, 4]], 4)
+    assert ("(2 3)" in _shared_forms(design)) and ("(1 2)" not in _shared_forms(design))
+    fam = exact_marginals(uniform_distribution(4), design)
+    system = mra_module._marginal_system
+
+    def zeroed(design, forms):
+        mat = system(design, forms)
+        mat[:, [str(f) == key for f in forms]] = 0
+        return mat
+
+    monkeypatch.setattr(mra_module, "_marginal_system", zeroed)
+    with pytest.raises(SolverError, match=r"rank 9 below dimension 10 for design \[\[1, 2, 3\], \[2, 3, 4\]\]"):
+        decompose_marginals(fam)
+
+
+def test_design_path_reads_each_chain_once(monkeypatch):
+    # each relabelled form's chain is computed once, however many design
+    # subsets hold its support and whether it is assembled or synthesized
+    n = 8
+    design = ObservationDesign(BENCH_TEMPLATE, n)
+    fam = MarginalFamily(
+        {s: Chain({w: 1 / factorial(len(s)) for w in all_words(s, n)}, n) for s in design},
+        design,
+    )
+    calls = []
+    chain_terms = mra_module.chain_terms
+    monkeypatch.setattr(
+        mra_module, "chain_terms", lambda *args: calls.append(args) or chain_terms(*args)
+    )
+    _chain_column.cache_clear()
+    c = decompose_marginals(fam)
+    assert marginal_residual(fam, c) < 1e-12
+    assert len(calls) <= sum(len(derangements(range(1, k + 1), k)) for k in range(2, 7)) == 321
+
+
+def test_full_analysis_refuses_a_non_finite_level_solve(basis_for, monkeypatch):
+    # the level solves skip scipy's finiteness scan; the residual gate judges
+    monkeypatch.setattr(
+        mra_module._Level, "solve", lambda self, rest: np.full((self.forms, self.subsets), np.nan)
+    )
+    with pytest.raises(SolverError, match="residual nan"):
+        decompose(random_chain(4, random.Random(4)), basis_for(4))
