@@ -57,14 +57,13 @@ from .marginals import (
 )
 from .perms import (
     CycleForm,
-    Permutation,
     derangement_forms,
     derangement_number,
     derangements,
     eig_class_dimensions,
     scale_dimension,
 )
-from .wavelets import LARGE_N, MAX_DENSE_ENTRIES, MAX_N, WaveletFunction, chain_terms, wavelet
+from .wavelets import LARGE_N, MAX_DENSE_ENTRIES, MAX_N, chain_terms
 from .words import Chain, Word, _accumulate, _pruned
 
 RESIDUAL_REL_TOL = 1e-9
@@ -119,10 +118,6 @@ class WaveletBasis:
 
     def __len__(self) -> int:
         return len(self.forms)
-
-    def __iter__(self) -> Iterator[tuple[Permutation, WaveletFunction]]:
-        for form in self.forms:
-            yield form.to_permutation(self.n), wavelet(form, self.n)
 
     @cached_property
     def words(self) -> list[Word]:
@@ -455,32 +450,47 @@ def design_keys(design: ObservationDesign) -> list[str]:
     return [str(form) for form in design_forms(design)]
 
 
-def check_marginal_system(design: ObservationDesign) -> tuple[int, int]:
-    """Rows and columns of a design's marginal system, counted from the
-    subset sizes before anything is enumerated.
+def _holders(design: ObservationDesign) -> dict[frozenset[int], list[int]]:
+    """Each support of design_forms(design), the identity's empty one
+    included -> the design subsets (indices, in design order) that hold it."""
+    holders: dict[frozenset[int], list[int]] = {}
+    for a, items in enumerate(design):
+        for k in (0, *range(2, len(items) + 1)):
+            for support in combinations(sorted(items), k):
+                holders.setdefault(frozenset(support), []).append(a)
+    return holders
 
-    Rows: |A|! per design subset A.  Columns: 1 + D_|S| over the subsets S
-    of the closure, D_k being the number of derangements of k items.
-    A system with more than MAX_DENSE_ENTRIES entries raises ValueError,
-    and so does a design whose scale does not fit in a float (check_scale).
-    The closure of a subset A alone holds |A|! - 1 derangements, so rows
-    times the largest |A|! bounds the size from below; it is tried first,
-    as listing the closure takes 2^|A| steps per subset.
+
+def check_marginal_system(design: ObservationDesign) -> tuple[int, int, int]:
+    """What _solve_design holds for a design, counted before it is built:
+    the entries of the design blocks' R factors, then the rows and columns
+    of the reduced system on the shared columns.
+
+    Design subset A's block is |A|! x |A|!, counted from the sizes alone
+    and first, as listing A's closure takes 2^|A| steps.  Each support S
+    held by h > 1 subsets brings D_|S| shared columns and h * D_|S| reduced
+    rows (D_k derangements of k items, D_0 = 1 for the identity), and the
+    right-hand side one more column.  Either count over MAX_DENSE_ENTRIES
+    raises ValueError, as does a scale that overflows a float (check_scale).
     """
     check_scale(min(design, key=len), design.n)
-    rows = sum(factorial(len(s)) for s in design)
-    cols = factorial(max(len(s) for s in design))
-    at_least = rows * cols > MAX_DENSE_ENTRIES
-    if not at_least:
-        cols = 1 + sum(derangement_number(len(s)) for s in design.closure())
+    over = f"more than the {MAX_DENSE_ENTRIES} entries of the dense basis matrix at n = {LARGE_N}"
+    sizes = [factorial(len(s)) for s in design]
+    entries = sum(size * size for size in sizes)
+    if entries > MAX_DENSE_ENTRIES:
+        raise ValueError(
+            f"the marginal system has {sum(sizes)} rows and at least {max(sizes)} columns, "
+            f"and the R factors of its design blocks hold {entries} entries, {over}"
+        )
+    shared = [(len(s), len(held)) for s, held in _holders(design).items() if len(held) > 1]
+    rows = sum(held * derangement_number(k) for k, held in shared)
+    cols = 1 + sum(derangement_number(k) for k, _ in shared)
     if rows * cols > MAX_DENSE_ENTRIES:
         raise ValueError(
-            f"the marginal system has {rows} rows and "
-            f"{'at least ' if at_least else ''}{cols} columns, more than the "
-            f"{MAX_DENSE_ENTRIES} entries of the dense basis matrix at "
-            f"n = {LARGE_N}"
+            f"the reduced system on the columns that design subsets share has {rows} rows "
+            f"and {cols} columns, {over}"
         )
-    return rows, cols
+    return entries, rows, cols
 
 
 def check_scale(items: frozenset[int], n: int) -> None:
@@ -620,7 +630,7 @@ def _solve_design(design: ObservationDesign, forms: list[CycleForm], rhs: np.nda
     """
     cond = np.finfo(float).eps * max(len(rhs), len(forms))
     supports = [form.support() for form in forms]
-    holders = {s: [a for a, items in enumerate(design) if s <= items] for s in set(supports)}
+    holders = _holders(design)
     columns: list[list[int]] = [[] for _ in design]  # each subset's forms, basis order
     for j, support in enumerate(supports):
         for a in holders[support]:
@@ -664,7 +674,7 @@ def decompose_marginals(
 ) -> CoefficientVector:
     """Expand an observed marginal family over the design-observable wavelets.
 
-    The design's system size is checked first (check_marginal_system), and
+    What the solve holds is sized first (check_marginal_system), and
     the family must be projective at the given tolerance.  The system is
     assembled from closed-form wavelet marginals (never from full-ranking
     vectors), one design subset's block at a time, and solved by least

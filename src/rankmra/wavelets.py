@@ -26,7 +26,6 @@ LARGE_N = 7  # the first n behind allow_large / --allow-large-n
 MAX_DENSE_ENTRIES = factorial(LARGE_N) ** 2  # every dense system, full or design
 
 _chain_cache: dict[tuple[int, tuple], Chain] = {}
-_wavelet_cache: dict[tuple[int, tuple], Chain] = {}
 
 
 @dataclass(frozen=True)
@@ -165,15 +164,9 @@ def wavelet(t: Permutation | CycleForm, n: int | None = None) -> WaveletFunction
     if n > MAX_N:
         raise ValueError(f"full rankings are materialized only for n <= {MAX_N}")
     _check_support(form, n)
-    key = (n, form.cycles)
-    cached = _wavelet_cache.get(key)
-    if cached is None:
-        if not form.cycles:
-            cached = Chain.indicator(all_words(range(1, n + 1), n), n)
-        else:
-            cached = embed(wavelet_chain(form, n).chain)
-        _wavelet_cache[key] = cached
-    return WaveletFunction(form, cached)
+    if not form.cycles:
+        return WaveletFunction(form, Chain.indicator(all_words(range(1, n + 1), n), n))
+    return WaveletFunction(form, embed(wavelet_chain(form, n).chain))
 
 
 @lru_cache(maxsize=4096)

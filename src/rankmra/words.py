@@ -91,10 +91,6 @@ class Word:
     def __repr__(self) -> str:
         return f"Word({self}, n={self.n})"
 
-    def position(self, a: int) -> int:
-        """1-based rank of letter a in the word; raises if absent."""
-        return self.letters.index(a) + 1
-
 
 def content(w: Word) -> frozenset[int]:
     """The set of letters appearing in w."""

@@ -110,7 +110,6 @@ def expand_brackets(expr: str, n: int) -> Chain:
 def test_criterion_01_golden_basis(tmp_path, capsys):
     failures = []
     wavelets_module._chain_cache.clear()
-    wavelets_module._wavelet_cache.clear()
     out_path = tmp_path / "basis.txt"
     start = time.perf_counter()
     code = main(["basis", "--n", "4", "--expand", "--output", str(out_path)])

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
 from math import factorial
 from pathlib import Path
@@ -529,6 +529,24 @@ def test_decompose_refuses_oversized_design(tmp_path, capsys):
     assert out == ""
 
 
+def test_decompose_accepts_a_design_over_fifty_items(tmp_path, capsys):
+    # 200 five-item subsets of 1..50: the whole system would be 24 000 x
+    # 22 548, but the blocks hold 200 * 120^2 entries and the columns they
+    # share leave a reduced system of 2 262 x 811
+    rng = random.Random(0)
+    subsets = set()
+    while len(subsets) < 200:
+        subsets.add(frozenset(rng.sample(range(1, 51), 5)))
+    design = write_design(tmp_path, [sorted(s) for s in subsets], 50)
+    assert check_marginal_system(ObservationDesign(subsets, 50)) == (200 * 120**2, 2262, 811)
+    data = tmp_path / "data.csv"
+    assert run(capsys, "sample", "--design", design, "--count", "4000", "--output", str(data))[0] == 0
+    code, out, err = run(capsys, "decompose", "--input", str(data), "--design", design)
+    assert code == 0, err
+    assert "projectivity: PASS" in err and "fit residual" in err
+    assert len(json.loads(out)["coefficients"]) == 22548
+
+
 def test_decompose_rejects_tolerance_that_is_not_finite_and_nonnegative(tmp_path, capsys):
     # at the parent, nan passed a one-subset design and failed an exact
     # two-subset one (exit 4), as -1 did
@@ -709,6 +727,47 @@ def test_decompose_refuses_oversized_design_before_reading_data(tmp_path, capsys
         assert "40320 rows" in err and "projectivity:" not in err and out == ""
 
 
+TINY_ROWS = ["1,2", "2,1"] + [",".join(map(str, p)) for p in permutations(range(1, 4))]
+CORRUPT_TOKEN = st.one_of(
+    st.integers(max_value=0).map(str),  # letters outside 1..3
+    st.integers(min_value=4).map(str),
+    st.text(alphabet="abx.+-_ e", min_size=1),  # no digit, so never an integer
+    st.just(""),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, len(TINY_ROWS) - 1), st.data())
+def test_decompose_exit_code_contract_for_ranking_csvs(line, data):
+    # one corrupted row of a valid CSV is refused at its line, and nothing
+    # is written; a repeated letter is drawn from the row itself
+    row = TINY_ROWS[line].split(",")
+    at = data.draw(st.integers(0, len(row) - 1))
+    repeated = st.sampled_from([tok for i, tok in enumerate(row) if i != at])
+    row[at] = data.draw(st.one_of(CORRUPT_TOKEN, repeated))
+    rows = TINY_ROWS[:line] + [",".join(row)] + TINY_ROWS[line + 1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        design = write_design(Path(tmp), [[1, 2], [1, 2, 3]], 3)
+        path = Path(tmp) / "data.csv"
+        path.write_text("\n".join(rows) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["decompose", "--input", str(path), "--design", design])
+    assert code == 2, rows
+    assert err.getvalue().startswith(f"rankmra: line {line + 1}: "), err.getvalue()
+    assert out.getvalue() == ""
+
+
+def test_decompose_refuses_a_record_outside_the_design_and_a_missing_csv(tmp_path, capsys):
+    design, data = _tiny_design_dataset(tmp_path)
+    outside = tmp_path / "outside.csv"
+    outside.write_text(Path(data).read_text() + "1,3\n")
+    code, out, err = run(capsys, "decompose", "--input", str(outside), "--design", design)
+    assert (code, out) == (2, "") and err == "rankmra: record subset [1, 3] not in design\n"
+    code, out, err = run(capsys, "decompose", "--input", str(tmp_path / "missing.csv"), "--design", design)
+    assert (code, out) == (3, "") and err.startswith("rankmra: ") and "Traceback" not in err
+
+
 SCIPY_GATE = """
 import os
 import sys
@@ -734,8 +793,7 @@ print("ok")
 def _tiny_design_dataset(tmp_path) -> tuple[str, str]:
     design = write_design(tmp_path, [[1, 2], [1, 2, 3]], 3)
     data = tmp_path / "data.csv"
-    rows = ["1,2", "2,1"] + [",".join(map(str, p)) for p in permutations(range(1, 4))]
-    data.write_text("\n".join(rows) + "\n")
+    data.write_text("\n".join(TINY_ROWS) + "\n")
     return design, str(data)
 
 

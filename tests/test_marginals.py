@@ -5,6 +5,8 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankmra import (
     Chain,
@@ -183,6 +185,33 @@ def test_check_projective_exact_family():
     report = check_projective(fam)
     assert report.passed
     assert report.max_violation < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.sets(st.integers(1, n), min_size=2), min_size=1, max_size=5),
+        )
+    ),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_exact_marginals_are_projective(drawn, seed, integer):
+    # the full set joins the design, so every other subset nests in it
+    n, subsets = drawn
+    design = ObservationDesign(subsets + [range(1, n + 1)], n)
+    rng = random.Random(seed)
+    if integer:
+        f = Chain({w: rng.randint(-5, 5) for w in all_words(range(1, n + 1), n)}, n)
+    else:
+        f = random_chain(n, rng)
+    report = check_projective(exact_marginals(f, design))
+    assert report.passed, str(report)
+    assert len(report.pairs) >= len(design) - 1
+    if integer:
+        assert all(p.exact and p.violation == 0 for p in report.pairs)
 
 
 def test_check_projective_detects_violation():

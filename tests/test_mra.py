@@ -66,7 +66,7 @@ def test_build_basis_counts(basis_for):
     four = basis_for(4)
     assert len(four) == 24
     sizes = {}
-    for tau, _ in four:
+    for tau in four.forms:
         k = len(tau.support())
         sizes[k] = sizes.get(k, 0) + 1
     assert sizes == {0: 1, 2: 6, 3: 8, 4: 9}
@@ -415,10 +415,8 @@ def test_displacement_solve(basis_for):
 
 def test_all_detail_wavelets_sum_to_zero(basis_for):
     for n in (3, 4, 5):
-        for key, (tau, psi) in zip(basis_for(n).keys, basis_for(n)):
-            if key == "id":
-                continue
-            assert psi.chain.total_mass() == 0
+        for form in basis_for(n).forms[1:]:  # all but the constant
+            assert wavelet(form, n).chain.total_mass() == 0
 
 
 def test_verify_dimensions_n4():
@@ -544,37 +542,79 @@ def test_decompose_marginals_matches_svd_oracle():
     assert diff <= 1e-12 * float(np.max(np.abs(oracle)))
 
 
-def test_check_marginal_system_guard():
+def _refused_before_any_block(design, match, monkeypatch):
+    """check_marginal_system refuses design, and so does decompose_marginals,
+    before any block of the system is assembled."""
+    with pytest.raises(ValueError, match=match):
+        check_marginal_system(design)
+    fam = MarginalFamily(
+        {s: Chain.dirac(Word(tuple(sorted(s)), design.n)) for s in design}, design
+    )
+    monkeypatch.setattr(mra_module, "_marginal_system", pytest.fail)
+    with pytest.raises(ValueError, match=match):
+        decompose_marginals(fam)
+    monkeypatch.undo()
+
+
+def test_check_marginal_system_guard(monkeypatch):
     n = 8
     subsets = [[1, 3, 5, 6, 7, 8], [3, 4, 5, 6, 7, 8], [1, 2, 7, 8], [1, 3, 5], [2, 4, 6, 8]]
     design = ObservationDesign(subsets, n)
-    assert check_marginal_system(design) == (
-        2 * 720 + 24 + 6 + 24,
-        len(design_keys(design)),
+    forms = design_forms(design)
+    held = [sum(form.support() <= s for s in design) for form in forms]
+    shared = [h for h in held if h > 1]
+    # the blocks' R factors, then the reduced rows and columns (with b)
+    assert check_marginal_system(design) == (2 * 720**2 + 24**2 + 6**2 + 24**2, 272, 134)
+    assert (sum(shared), 1 + len(shared)) == (272, 134)
+    # ... which are the rows and columns _solve_design stacks on the shared forms
+    stacked = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(
+        np.linalg, "lstsq", lambda a, b, rcond: stacked.append(a.shape) or lstsq(a, b, rcond=rcond)
     )
-    # the whole n = 7 space fills the bound exactly: rows = cols = 7!
+    _solve_design(design, forms, np.random.default_rng(0).normal(size=2 * 720 + 24 + 6 + 24))
+    assert stacked == [(272, 133)]
+    monkeypatch.undo()
+    # the whole n = 7 space fills the block bound exactly, and shares nothing
     seven = ObservationDesign([range(1, 8)], n)
-    assert check_marginal_system(seven) == (5040, 5040)
-    # one more pair tips it over; the largest subset's 7! columns already
-    # show that, so the closure is not listed
+    assert check_marginal_system(seven) == (5040**2, 0, 1)
+    # one more pair tips the blocks over, counted from the subset sizes
     over = ObservationDesign([range(1, 8), [1, 8]], n)
-    with pytest.raises(ValueError, match="5042 rows and at least 5040 columns"):
-        check_marginal_system(over)
-    fam = MarginalFamily(
-        {s: Chain.dirac(Word(tuple(sorted(s)), n)) for s in over}, over
-    )
-    with pytest.raises(ValueError, match="dense basis matrix"):
-        decompose_marginals(fam)
-    # every 6-subset of 1..8: 28 * 720 rows times 720 is within the bound,
-    # so the columns are counted exactly over the closure
+    _refused_before_any_block(over, "5042 rows .* hold 25401604 entries", monkeypatch)
+    # every 6-subset of 1..8: 28 blocks of 720^2 fit, but their shared
+    # forms leave a reduced system of 12 740 x 3 236 (41 226 640 entries)
     sixes = ObservationDesign(combinations(range(1, 9), 6), n)
-    with pytest.raises(ValueError, match="20160 rows and 10655 columns"):
-        check_marginal_system(sixes)
+    _refused_before_any_block(sixes, "12740 rows and 3236 columns", monkeypatch)
     # a 30-item subset is refused from its size alone: its closure
     # (2^30 subsets) is never listed
+    monkeypatch.setattr(mra_module, "_holders", pytest.fail)
     big = ObservationDesign([range(1, 31)], 30)
-    with pytest.raises(ValueError, match="at least"):
+    with pytest.raises(ValueError, match="R factors"):
         check_marginal_system(big)
+
+
+def test_decompose_marginals_recovers_coefficients_on_thirty_items():
+    # 50 five-item subsets of 1..30: a 6000 x 5678 system whose columns
+    # are mostly private to one subset; the blocks hold 50 * 120^2 entries
+    rng = random.Random(1)
+    subsets = set()
+    while len(subsets) < 50:
+        subsets.add(frozenset(rng.sample(range(1, 31), 5)))
+    n = 30
+    design = ObservationDesign(subsets, n)
+    keys = design_keys(design)
+    assert len(keys) == 5678
+    assert check_marginal_system(design) == (50 * 120**2, 536, 215)
+
+    def scale(key):  # the marginal of psi_key on a five-item subset holding it
+        k = len(CycleForm.parse(key).support())
+        return factorial(n) // factorial(5) if k == 0 else factorial(n - k + 1) // factorial(6 - k)
+
+    truth = CoefficientVector({key: rng.uniform(-1, 1) / scale(key) for key in keys}, n, "design")
+    fam = MarginalFamily(synthesize_marginals(truth, design), design)
+    got = decompose_marginals(fam)
+    assert list(got.coeffs) == keys
+    assert max(abs(got.get(key) - truth.get(key)) * scale(key) for key in keys) <= 1e-12
 
 
 def test_synthesize_refuses_coefficients_of_another_n(basis_for):
