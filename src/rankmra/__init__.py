@@ -39,8 +39,6 @@ from .marginals import (
     uniform_distribution,
 )
 from .wavelets import (
-    WaveletChain,
-    WaveletFunction,
     chain_coefficient_fast,
     embed,
     embed_into,

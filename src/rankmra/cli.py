@@ -30,8 +30,8 @@ from .marginals import (
     empirical_marginals,
     read_rankings_csv,
 )
-from .perms import CycleForm
 from .mra import (
+    RESIDUAL_REL_TOL,
     CoefficientVector,
     ProjectivityError,
     SolverError,
@@ -42,13 +42,14 @@ from .mra import (
     check_marginal_system,
     check_scale,
     decompose_marginals,
+    _marginal_terms,
     marginal_residual,
     synthesize,
     synthesize_marginals,
     verify_dimensions,
 )
-from .wavelets import LARGE_N, MAX_N, chain_terms, cycle_terms, wavelet, wavelet_chain
-from .words import Word, delete, format_chain, restrict
+from .wavelets import LARGE_N, MAX_N, chain_terms, cycle_terms, wavelet_chain
+from .words import Word, delete, restrict
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -106,9 +107,16 @@ def _load_coefficients(path: str) -> CoefficientVector:
 def _basis_lines(n: int, expand: bool) -> Iterator[str]:
     """The output of `basis`: one wavelet function, or wavelet chain, a line."""
     if expand:
-        yield f"id: {format_chain(wavelet(CycleForm(()), n).chain)}\n"
-        for form in basis_forms(n):
-            yield f"{form}: {format_chain(wavelet(form, n).chain)}\n"
+        # psi_tau is its marginal on the full set, where the scale is 1 and
+        # the identity's rows are all +; each word's text is formatted once
+        basis = build_basis(n)
+        universe = frozenset(range(1, n + 1))
+        text = [str(w) for w in basis.words]
+        signed = {1: ["+" + t for t in text], -1: ["-" + t for t in text]}
+        for key, form in zip(basis.keys, basis.forms):
+            rows, signs, _ = _marginal_terms(form, universe, n)
+            terms = " ".join([signed[s][row] for row, s in zip(rows.tolist(), signs.tolist())])
+            yield f"{key}: {terms}\n"
         return
     # the blocks of multi-cycle forms recur across forms, so they are kept;
     # one-cycle forms skip the cache, which would otherwise hold every cycle
@@ -219,7 +227,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # the columns checked are those of the matrix whose rank was taken
     basis = report.basis
     for form, psi in zip(basis.forms[1:], basis.matrix().T[1:]):
-        x = wavelet_chain(form, n).chain
+        x = wavelet_chain(form, n)
         for a in form.support():
             if delete(x, a):
                 checks["deletion-annihilation"] += 1
@@ -263,7 +271,9 @@ def _density_from_coefficients(args: argparse.Namespace, n: int) -> list[float] 
     basis = _full_basis(n, args.allow_large_n)
     chain = synthesize(coeffs, basis)
     values = [float(chain(w)) for w in basis.words]
-    if min(values) < -1e-12:
+    # a zero mass synthesizes to within round-off of the largest value,
+    # which can fall below 0
+    if min(values) < -RESIDUAL_REL_TOL * max(map(abs, values)):
         raise ValueError(f"coefficients synthesize to a negative mass ({min(values):.3g})")
     total = sum(values)
     if total <= 0:

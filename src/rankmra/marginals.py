@@ -11,9 +11,9 @@ import csv
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import permutations as iter_permutations
+from itertools import combinations, permutations as iter_permutations
 from math import factorial
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .words import Chain, Word, content, delete_set
 
@@ -62,6 +62,17 @@ def contiguous_extensions(p: Word, target: Iterable[int]) -> set[Word]:
     return out
 
 
+def supports_within(items: Iterable[int]) -> Iterator[frozenset[int]]:
+    """The supports items holds: the identity's empty one, then every subset
+    of two or more items, by size and then lexicographically.  By
+    localization, no other wavelet has a nonzero marginal on items.  The
+    one walk of a design's closure."""
+    items = sorted(items)
+    yield frozenset()
+    for k in range(2, len(items) + 1):
+        yield from map(frozenset, combinations(items, k))
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -101,18 +112,19 @@ class ObservationDesign:
             and self.subsets == other.subsets
         )
 
+    def holders(self) -> dict[frozenset[int], list[int]]:
+        """Each support the design holds (supports_within a member), the
+        identity's empty one included -> the members that hold it, as
+        indices in design order."""
+        out: dict[frozenset[int], list[int]] = {}
+        for a, items in enumerate(self.subsets):
+            for support in supports_within(items):
+                out.setdefault(support, []).append(a)
+        return out
+
     def closure(self) -> list[frozenset[int]]:
         """Every subset of size >= 2 of any design member, deterministic order."""
-        out: set[frozenset[int]] = set()
-        for s in self.subsets:
-            items = sorted(s)
-            for mask in range(1, 1 << len(items)):
-                sub = frozenset(
-                    items[i] for i in range(len(items)) if mask >> i & 1
-                )
-                if len(sub) >= 2:
-                    out.add(sub)
-        return sorted(out, key=lambda s: (len(s), sorted(s)))
+        return sorted(filter(None, self.holders()), key=lambda s: (len(s), sorted(s)))
 
     @classmethod
     def from_json(cls, payload) -> "ObservationDesign":

@@ -51,6 +51,7 @@ from .marginals import (
     ObservationDesign,
     _is_int,
     all_words,
+    supports_within,
     check_projective,
     ProjectivityReport,
     REAL_PROJECTIVITY_TOL,
@@ -450,17 +451,6 @@ def design_keys(design: ObservationDesign) -> list[str]:
     return [str(form) for form in design_forms(design)]
 
 
-def _holders(design: ObservationDesign) -> dict[frozenset[int], list[int]]:
-    """Each support of design_forms(design), the identity's empty one
-    included -> the design subsets (indices, in design order) that hold it."""
-    holders: dict[frozenset[int], list[int]] = {}
-    for a, items in enumerate(design):
-        for k in (0, *range(2, len(items) + 1)):
-            for support in combinations(sorted(items), k):
-                holders.setdefault(frozenset(support), []).append(a)
-    return holders
-
-
 def check_marginal_system(design: ObservationDesign) -> tuple[int, int, int]:
     """What _solve_design holds for a design, counted before it is built:
     the entries of the design blocks' R factors, then the rows and columns
@@ -482,7 +472,7 @@ def check_marginal_system(design: ObservationDesign) -> tuple[int, int, int]:
             f"the marginal system has {sum(sizes)} rows and at least {max(sizes)} columns, "
             f"and the R factors of its design blocks hold {entries} entries, {over}"
         )
-    shared = [(len(s), len(held)) for s, held in _holders(design).items() if len(held) > 1]
+    shared = [(len(s), len(held)) for s, held in design.holders().items() if len(held) > 1]
     rows = sum(held * derangement_number(k) for k, held in shared)
     cols = 1 + sum(derangement_number(k) for k, _ in shared)
     if rows * cols > MAX_DENSE_ENTRIES:
@@ -568,7 +558,9 @@ def synthesize_marginals(c: CoefficientVector, subsets) -> dict[frozenset[int], 
 
     Sums the closed-form wavelet marginals key by key in coefficient order,
     with Chain's pruning rule, so each result equals the Chain sum of
-    value * marginal_wavelet(key, subset) over the coefficients.  Every
+    value * marginal_wavelet(key, subset) over the coefficients.  The
+    coefficients are grouped by support once, and each subset visits only
+    the supports within it (a wavelet's marginal elsewhere is 0).  Every
     subset is checked, and one of more than MAX_N items or whose scale
     does not fit in a float refused, before any ranking is listed.
     """
@@ -581,16 +573,17 @@ def synthesize_marginals(c: CoefficientVector, subsets) -> dict[frozenset[int], 
             )
         check_listable(items)
         check_scale(items, c.n)
-    forms = [_parse_key(key) for key in c.coeffs]
-    wavelets = [(form, form.support(), value) for form, value in zip(forms, c.coeffs.values())]
+    forms, values = [_parse_key(key) for key in c.coeffs], list(c.coeffs.values())
+    by_support: dict[frozenset[int], list[int]] = {}
+    for i, form in enumerate(forms):
+        by_support.setdefault(form.support(), []).append(i)
     out = {}
     for items in subsets:
         acc: dict[int, float] = {}
-        for form, support, value in wavelets:
-            if not support <= items:
-                continue
-            rows, signs, scale = _marginal_terms(form, items, c.n)
-            term = scale * value
+        # the coefficients whose support lies in items, in coefficient order
+        for i in sorted(i for s in supports_within(items) for i in by_support.get(s, ())):
+            rows, signs, scale = _marginal_terms(forms[i], items, c.n)
+            term = scale * values[i]
             if _pruned(term):  # its terms are +-term, so they prune together
                 _accumulate(zip(rows.tolist(), [sign * term for sign in signs.tolist()]), acc)
         words = all_words(items, c.n)
@@ -630,7 +623,7 @@ def _solve_design(design: ObservationDesign, forms: list[CycleForm], rhs: np.nda
     """
     cond = np.finfo(float).eps * max(len(rhs), len(forms))
     supports = [form.support() for form in forms]
-    holders = _holders(design)
+    holders = design.holders()
     columns: list[list[int]] = [[] for _ in design]  # each subset's forms, basis order
     for j, support in enumerate(supports):
         for a in holders[support]:

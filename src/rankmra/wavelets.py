@@ -7,12 +7,13 @@ concatenates the cycles.  That generator is kept as `_cycle_chain`, the
 reference the closed form is tested against; chains are built from the
 closed form, which runs each cycle's sign ladder backwards.  Embedding a
 chain by contiguous extensions yields the wavelet function psi_tau on full
-rankings.
+rankings.  The embeddings here (`wavelet`, `embed`, `embed_into`,
+`marginal_wavelet`) are the Word-level definitions the tests hold the
+ranking index of `mra` to; every production path reads that index instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -26,22 +27,6 @@ LARGE_N = 7  # the first n behind allow_large / --allow-large-n
 MAX_DENSE_ENTRIES = factorial(LARGE_N) ** 2  # every dense system, full or design
 
 _chain_cache: dict[tuple[int, tuple], Chain] = {}
-
-
-@dataclass(frozen=True)
-class WaveletChain:
-    """The chain x_tau on words ranking supp(tau); coefficients are +-1."""
-
-    tau: CycleForm
-    chain: Chain
-
-
-@dataclass(frozen=True)
-class WaveletFunction:
-    """The function psi_tau on full rankings; values in {-1, 0, 1}."""
-
-    tau: CycleForm
-    chain: Chain
 
 
 def _cycle_chain(cycle: tuple[int, ...], n: int) -> Chain:
@@ -99,8 +84,9 @@ def _check_support(form: CycleForm, n: int) -> None:
         raise ValueError(f"support {sorted(support)} exceeds universe 1..{n}")
 
 
-def wavelet_chain(t: Permutation | CycleForm, n: int | None = None) -> WaveletChain:
-    """The wavelet chain of t (in standard cycle form) on words of 1..n.
+def wavelet_chain(t: Permutation | CycleForm, n: int | None = None) -> Chain:
+    """The wavelet chain x_t of t (in standard cycle form) on words of 1..n;
+    its coefficients are +-1 on words ranking supp(t).
 
     The identity is rejected: it indexes the constant function, not a
     chain.  So is a support outside 1..n.
@@ -118,7 +104,7 @@ def wavelet_chain(t: Permutation | CycleForm, n: int | None = None) -> WaveletCh
             Word._make(tuple(map(ord, word)), n): sign for word, sign in chain_terms(form.cycles)
         }
         cached = _chain_cache[key] = Chain._make(terms, n)
-    return WaveletChain(form, cached)
+    return cached
 
 
 def _embed(x: Chain, items: frozenset[int]) -> Chain:
@@ -149,8 +135,8 @@ def naive_embed(x: Chain) -> Chain:
     return Chain._make(_accumulate(pairs), x.n)
 
 
-def wavelet(t: Permutation | CycleForm, n: int | None = None) -> WaveletFunction:
-    """The basis function psi_tau on full rankings of 1..n.
+def wavelet(t: Permutation | CycleForm, n: int | None = None) -> Chain:
+    """The basis function psi_t on full rankings of 1..n, values in {-1, 0, 1}.
 
     The identity yields the all-ones function; any other t embeds its
     wavelet chain.  Bounded at n = 8: beyond that the full ranking space
@@ -165,8 +151,8 @@ def wavelet(t: Permutation | CycleForm, n: int | None = None) -> WaveletFunction
         raise ValueError(f"full rankings are materialized only for n <= {MAX_N}")
     _check_support(form, n)
     if not form.cycles:
-        return WaveletFunction(form, Chain.indicator(all_words(range(1, n + 1), n), n))
-    return WaveletFunction(form, embed(wavelet_chain(form, n).chain))
+        return Chain.indicator(all_words(range(1, n + 1), n), n)
+    return embed(wavelet_chain(form, n))
 
 
 @lru_cache(maxsize=4096)
@@ -252,4 +238,4 @@ def marginal_wavelet(t: Permutation | CycleForm, items, n: int | None = None) ->
         return Chain.zero(n)
     k = len(support)
     scale = factorial(n - k + 1) // factorial(len(items) - k + 1)
-    return embed_into(wavelet_chain(form, n).chain, items) * scale
+    return embed_into(wavelet_chain(form, n), items) * scale

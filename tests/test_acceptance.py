@@ -157,7 +157,7 @@ def test_criterion_02_worked_chain():
     for _ in range(3):
         wavelets_module._chain_cache.clear()
         start = time.perf_counter()
-        x = wavelet_chain(tau, 5).chain
+        x = wavelet_chain(tau, 5)
         erased = delete(x, 4)
         timings.append(time.perf_counter() - start)
     expected = "+13425 -13452 -14325 +14352 -34125 +34152 +43125 -43152"
@@ -214,7 +214,7 @@ def test_criterion_04_null_space_oracle():
         vectors = []
         for tau in derangements(subset, k):
             vec = np.zeros(len(source))
-            for word, c in wavelet_chain(tau).chain.terms.items():
+            for word, c in wavelet_chain(tau).terms.items():
                 vec[index[word]] = c
             residual = float(np.max(np.abs(stacked @ vec)))
             if residual > 1e-8:
@@ -235,7 +235,7 @@ def test_criterion_05_localization_n5():
         tau = Permutation(images)
         if tau.is_identity():
             continue
-        psi = wavelet(tau).chain
+        psi = wavelet(tau)
         support = tau.support()
         for b_set in targets:
             got = marginal(psi, b_set)
@@ -267,7 +267,7 @@ def test_criterion_06_fast_formula_equivalence():
     n = 6
     for subset in subsets_of(n):
         for tau in derangements(subset, n):
-            x = wavelet_chain(tau).chain
+            x = wavelet_chain(tau)
             for word in all_words(subset, n):
                 if chain_coefficient_fast(tau, word) != x(word):
                     failures.append(f"{tau} at {word}")
@@ -347,7 +347,7 @@ def test_criterion_09_structure_properties(basis_for):
         image = rng.sample(range(1, n + 1), size)
         sigma0 = _order_preserving_extension(rng, support, image, n)
         conjugate = sigma0 * tau * sigma0.inverse()
-        if translate(wavelet(tau).chain, sigma0) != wavelet(conjugate).chain:
+        if translate(wavelet(tau), sigma0) != wavelet(conjugate):
             failures.append(f"translation covariance: {tau} by {sigma0}")
 
     for _ in range(trials):  # displacement: translated wavelets stay in W_B
@@ -368,9 +368,9 @@ def test_criterion_09_structure_properties(basis_for):
         sigma0 = Permutation(tuple(images))
         tau = rng.choice(derangements(src, n))
         basis = basis_for(n)
-        moved = basis.chain_to_vector(translate(wavelet(tau).chain, sigma0))
+        moved = basis.chain_to_vector(translate(wavelet(tau), sigma0))
         cols = np.array(
-            [basis.chain_to_vector(wavelet(t).chain) for t in derangements(dst, n)]
+            [basis.chain_to_vector(wavelet(t)) for t in derangements(dst, n)]
         ).T
         sol, *_ = np.linalg.lstsq(cols, moved, rcond=None)
         residual = float(np.max(np.abs(cols @ sol - moved)))
@@ -383,7 +383,7 @@ def test_criterion_09_structure_properties(basis_for):
         support = rng.sample(range(1, n + 1), size)
         tau = rng.choice(derangements(support, n))
         form = tau.cycle_form()
-        psi = wavelet(tau).chain
+        psi = wavelet(tau)
         k, r = form.length(), form.cycle_count()
         if not set(psi.terms.values()) <= {-1, 1}:
             failures.append(f"values of {tau}")

@@ -19,15 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmra import (
+    Chain,
     CoefficientVector,
     CycleForm,
     ObservationDesign,
     WaveletBasis,
     Word,
     build_basis,
+    decompose,
     format_chain,
     restrict,
     synthesize,
+    wavelet,
     wavelet_chain,
 )
 from rankmra import mra as mra_module
@@ -93,7 +96,27 @@ def test_basis_chains_stream_without_chain_cache(tmp_path, capsys):
     assert len(lines) == factorial(6) - 1
     for line in lines:
         key, _, text = line.partition(": ")
-        assert text == format_chain(wavelet_chain(CycleForm.parse(key), 6).chain)
+        assert text == format_chain(wavelet_chain(CycleForm.parse(key), 6))
+
+
+def test_basis_expand_equals_embedded_wavelets(capsys):
+    for n in range(2, 7):
+        code, out, _ = run(capsys, "basis", "--n", str(n), "--expand")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == factorial(n)
+        for line, form in zip(lines, build_basis(n).forms):
+            assert line == f"{form}: {format_chain(wavelet(form, n))}"
+
+
+def test_basis_expand_reads_the_ranking_index(monkeypatch):
+    # every wavelet comes from the ranking index: none is embedded through
+    # Words, and none of the 5 039 chains is kept
+    wavelets_module._chain_cache.clear()
+    monkeypatch.setattr(wavelets_module, "embed", lambda x: pytest.fail(f"embedded {x}"))
+    argv = ["basis", "--n", "7", "--expand", "--allow-large-n", "--output", os.devnull]
+    assert main(argv) == 0
+    assert wavelets_module._chain_cache == {}
 
 
 def test_basis_unwritable_output(capsys):
@@ -173,11 +196,25 @@ def test_sample_rejects_negative_density(tmp_path, capsys):
     assert "negative" in err
 
 
+def test_sample_accepts_a_scaled_up_density(tmp_path, capsys):
+    # a count function on S_6 synthesizes back with round-off that scales
+    # with its values (about -2e-11 at s = 1e3, -2e-08 at s = 1e6), which
+    # is not a negative mass
+    basis = build_basis(6)
+    design = write_design(tmp_path, [[1, 2, 3]], 6)
+    path = tmp_path / "counts.json"
+    for s in (1.0, 1e3, 1e6):
+        rng = random.Random(0)
+        f = Chain({w: rng.choice((0, 1, 2, 3)) * s for w in basis.words}, 6)
+        decompose(f, basis).save(str(path))
+        code, out, err = run(capsys, "sample", "--design", design, "--input", str(path), "--count", "5")
+        assert code == 0, (s, err)
+        assert len(out.splitlines()) == 5
+
+
 def test_sample_from_degenerate_density(tmp_path, capsys):
     # a density concentrated on one ranking always emits its restrictions
     basis = build_basis(3)
-    from rankmra import Chain, decompose
-
     sigma = Word.parse("231", 3)
     c = decompose(Chain.dirac(sigma), basis)
     path = tmp_path / "point.json"
@@ -233,11 +270,11 @@ def test_decompose_exact_fixture(tmp_path, capsys):
 def test_decompose_exact_integer_fixture(tmp_path, capsys):
     # a density with dyadic-rational masses yields a dataset whose empirical
     # marginals are exactly the true marginals, so recovery is exact
-    from rankmra import CycleForm, marginal, wavelet
+    from rankmra import marginal
     from rankmra.marginals import all_words
 
     n = 3
-    psi123 = wavelet(CycleForm.parse("(1 2 3)"), n).chain
+    psi123 = wavelet(CycleForm.parse("(1 2 3)"), n)
     multiplicity = {w: 2 + psi123(w) for w in all_words(range(1, n + 1), n)}
     lines = []
     for w, m in multiplicity.items():
@@ -778,6 +815,7 @@ design, data, coeffs = sys.argv[1:]
 quiet = ["--output", os.devnull]
 for argv in (
     ["basis", "--n", "4"],
+    ["basis", "--n", "4", "--expand"],
     ["verify", "--n", "4"],
     ["marginal", "--n", "4", "--uniform", "--subset", "1,2,3"],
     ["decompose", "--input", data, "--design", design],

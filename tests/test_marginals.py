@@ -1,7 +1,7 @@
 """Marginal operators, extension sets, projectivity, empirical estimation."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -22,7 +22,7 @@ from rankmra import (
     restrict,
     uniform_distribution,
 )
-from rankmra.marginals import all_words, read_rankings_csv
+from rankmra.marginals import all_words, read_rankings_csv, supports_within
 
 
 def w(text: str, n: int) -> Word:
@@ -176,6 +176,24 @@ def test_observation_design():
     with pytest.raises(ValueError):
         ObservationDesign([[1, 9]], 4)
     assert ObservationDesign.from_json(design.to_json()) == design
+
+
+def test_design_holders_walk_each_member_once():
+    assert [sorted(s) for s in supports_within([3, 1, 2])] == [
+        [], [1, 2], [1, 3], [2, 3], [1, 2, 3]
+    ]
+    design = ObservationDesign([[1, 2, 3], [2, 3, 4], [1, 4]], 4)
+    holders = design.holders()
+    assert holders[frozenset()] == [0, 1, 2]  # the identity, held by all
+    assert holders[frozenset({2, 3})] == [1, 2]  # members in design order
+    assert holders[frozenset({1, 2, 3})] == [1]
+    assert frozenset({1, 3, 4}) not in holders
+    # every support of size >= 2 held by a member, brute-forced
+    brute = {
+        frozenset(c) for s in design for k in range(2, len(s) + 1)
+        for c in combinations(sorted(s), k)
+    }
+    assert set(design.closure()) == brute == set(holders) - {frozenset()}
 
 
 def test_check_projective_exact_family():
