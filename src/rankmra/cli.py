@@ -20,6 +20,7 @@ import random
 import sys
 from contextlib import nullcontext
 from functools import cache
+from itertools import accumulate
 from math import factorial, isfinite
 from typing import Iterable, Iterator
 
@@ -27,6 +28,7 @@ from .marginals import (
     ObservationDesign,
     all_words,
     check_projective,
+    distinct_subsets,
     empirical_marginals,
     read_rankings_csv,
 )
@@ -35,7 +37,6 @@ from .mra import (
     CoefficientVector,
     ProjectivityError,
     SolverError,
-    WaveletBasis,
     basis_forms,
     build_basis,
     check_listable,
@@ -48,8 +49,8 @@ from .mra import (
     synthesize_marginals,
     verify_dimensions,
 )
-from .wavelets import LARGE_N, MAX_N, chain_terms, cycle_terms, wavelet_chain
-from .words import Word, delete, restrict
+from .wavelets import LARGE_N, MAX_N, chain_terms, cycle_terms
+from .words import Word, restrict
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -159,7 +160,7 @@ def cmd_marginal(args: argparse.Namespace) -> int:
         if args.n is None:
             raise ValueError("either --design or --n with --subset is required")
         n = args.n
-        subsets = [frozenset(int(tok) for tok in text.split(",")) for text in args.subset]
+        subsets = distinct_subsets([int(tok) for tok in text.split(",")] for text in args.subset)
         if not subsets:
             raise ValueError("no target subsets given")
     for s in subsets:
@@ -221,56 +222,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not 2 <= n < LARGE_N:
         raise ValueError(f"verify needs 2 <= n <= {LARGE_N - 1}")
     report = verify_dimensions(n)
-
-    failures = list(report.failures)
-    checks = {"deletion-annihilation": 0, "value-support-law": 0, "zero-sum": 0}
-    # the columns checked are those of the matrix whose rank was taken
-    basis = report.basis
-    for form, psi in zip(basis.forms[1:], basis.matrix().T[1:]):
-        x = wavelet_chain(form, n)
-        for a in form.support():
-            if delete(x, a):
-                checks["deletion-annihilation"] += 1
-        k, r = form.length(), form.cycle_count()
-        values = psi[psi != 0]
-        values_ok = bool((abs(values) == 1).all())
-        size_ok = len(values) == 2 ** (k - r) * factorial(n - k + 1)
-        if not (values_ok and size_ok):
-            checks["value-support-law"] += 1
-        if psi.sum() != 0:
-            checks["zero-sum"] += 1
-
-    lines = report.lines()
-    for name, bad in sorted(checks.items()):
-        status = "PASS" if bad == 0 else f"FAIL ({bad} wavelets)"
-        lines.append(f"  invariant {name}: {status}")
-        if bad:
-            failures.append(f"invariant {name} failed on {bad} wavelets")
-    code = _write_lines(args.output, ("\n".join(lines) + "\n",))
-    if code != EXIT_OK:
-        return code
-    return EXIT_OK if not failures else EXIT_FAIL
+    code = _write_lines(args.output, (str(report) + "\n",))
+    return EXIT_FAIL if code == EXIT_OK and not report.passed else code
 
 
-def _full_basis(n: int, allow_large_n: bool) -> WaveletBasis:
-    """The basis a synthesis on the full rankings of 1..n uses."""
-    if not 2 <= n <= MAX_N:
+def _synthesized(path: str, n: int | None, allow_large_n: bool) -> tuple[list[Word], list[float]]:
+    """The full rankings, in lexicographic order, and the values on them of
+    the coefficients at path, which must be for n when n is given."""
+    coeffs = _load_coefficients(path)
+    if n is not None and coeffs.n != n:
+        raise ValueError(f"coefficients are for n={coeffs.n}, not {n}")
+    if not 2 <= coeffs.n <= MAX_N:
         raise ValueError(f"n must be in 2..{MAX_N}")
-    if n >= LARGE_N and not allow_large_n:
-        raise ValueError(f"synthesizing at n = {n} needs --allow-large-n")
-    return build_basis(n)
+    if coeffs.n >= LARGE_N and not allow_large_n:
+        raise ValueError(f"synthesizing at n = {coeffs.n} needs --allow-large-n")
+    basis = build_basis(coeffs.n)
+    chain = synthesize(coeffs, basis)
+    return basis.words, [float(chain(w)) for w in basis.words]
 
 
-def _density_from_coefficients(args: argparse.Namespace, n: int) -> list[float] | None:
-    """Synthesized word probabilities in lexicographic order, or None for uniform."""
+def _density_from_coefficients(args: argparse.Namespace, n: int) -> tuple[list[Word], list[float]] | None:
+    """The full rankings and their synthesized probabilities, or None for uniform."""
     if args.input is None:
         return None
-    coeffs = _load_coefficients(args.input)
-    if coeffs.n != n:
-        raise ValueError(f"coefficients are for n={coeffs.n}, not {n}")
-    basis = _full_basis(n, args.allow_large_n)
-    chain = synthesize(coeffs, basis)
-    values = [float(chain(w)) for w in basis.words]
+    words, values = _synthesized(args.input, n, args.allow_large_n)
     # a zero mass synthesizes to within round-off of the largest value,
     # which can fall below 0
     if min(values) < -RESIDUAL_REL_TOL * max(map(abs, values)):
@@ -278,7 +253,7 @@ def _density_from_coefficients(args: argparse.Namespace, n: int) -> list[float] 
     total = sum(values)
     if total <= 0:
         raise ValueError("coefficients synthesize to zero total mass")
-    return [max(v, 0.0) / total for v in values]
+    return words, [max(v, 0.0) / total for v in values]
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -288,16 +263,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
     n = design.n
     check_scale(min(design, key=len), n)
     density = _density_from_coefficients(args, n)
+    if density is not None:
+        words, probabilities = density
+        cumulative = list(accumulate(probabilities))
 
     rng = random.Random(args.seed)
     subsets = [tuple(sorted(s)) for s in design]
-    words = all_words(range(1, n + 1), n) if density is not None else None
-    cumulative: list[float] = []
-    if density is not None:
-        acc = 0.0
-        for p in density:
-            acc += p
-            cumulative.append(acc)
 
     def rows():
         for _ in range(args.count):
@@ -314,13 +285,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    coeffs = _load_coefficients(args.input)
-    n = coeffs.n
-    if args.n is not None and args.n != n:
-        raise ValueError(f"coefficients are for n={n}, not {args.n}")
-    basis = _full_basis(n, args.allow_large_n)
-    chain = synthesize(coeffs, basis)
-    rows = ([str(w), repr(float(chain(w)))] for w in basis.words)
+    words, values = _synthesized(args.input, args.n, args.allow_large_n)
+    rows = ([str(w), repr(v)] for w, v in zip(words, values))
     return _write_rows(args.output, [["word", "value"], *rows])
 
 

@@ -77,6 +77,21 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def distinct_subsets(subsets: Iterable[list[int]]) -> list[frozenset[int]]:
+    """Subsets as read from input, as sets; one that repeats an item, or
+    that holds the same items as an earlier one, raises ValueError rather
+    than being merged."""
+    out: list[frozenset[int]] = []
+    for s in subsets:
+        items = frozenset(s)
+        if len(items) != len(s):
+            raise ValueError(f"subset {s} repeats an item")
+        if items in out:
+            raise ValueError(f"subset {sorted(items)} is given twice")
+        out.append(items)
+    return out
+
+
 class ObservationDesign:
     """A collection of item subsets (each of size >= 2) within 1..n."""
 
@@ -128,8 +143,9 @@ class ObservationDesign:
 
     @classmethod
     def from_json(cls, payload) -> "ObservationDesign":
-        """Only an object {"n": int, "design": [[int, ...], ...]} is read;
-        any other shape raises ValueError rather than being coerced."""
+        """Only an object {"n": int, "design": [[int, ...], ...]} of
+        distinct subsets is read; anything else raises ValueError rather
+        than being coerced."""
         if not isinstance(payload, dict) or not {"n", "design"} <= payload.keys():
             raise ValueError('a design is a JSON object with keys "n" and "design"')
         n, subsets = payload["n"], payload["design"]
@@ -139,7 +155,7 @@ class ObservationDesign:
             isinstance(s, list) and all(_is_int(a) for a in s) for s in subsets
         ):
             raise ValueError("design subsets must be lists of integer items")
-        return cls(subsets, n)
+        return cls(distinct_subsets(subsets), n)
 
     @classmethod
     def load(cls, path: str) -> "ObservationDesign":

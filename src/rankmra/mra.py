@@ -13,10 +13,11 @@ and the residual of every solve is still checked against the 1e-9 gate.
 The dense basis matrix is built only as a test oracle and for `verify`.
 
 One ranking index serves the engine, the dense basis matrix, the design
-system and marginal synthesis: X_k as (row, column, sign) triples, and
-for the rankings of 1..m the rank of their restriction to each k-subset
-and whether that subset stands together in them.  A marginal of psi_tau
-is X_k's column of tau read at those ranks, where supp tau is contiguous.
+system and marginal synthesis: X_k column by column, each read once into
+a bounded cache (_chain_column), and for the rankings of 1..m the rank of
+their restriction to each k-subset and whether that subset stands
+together in them.  A marginal of psi_tau is X_k's column of tau read at
+those ranks, where supp tau is contiguous.
 
 Marginal-domain analysis assembles its system from closed-form wavelet
 marginals only, so it never materializes the full ranking space.  By
@@ -64,8 +65,8 @@ from .perms import (
     eig_class_dimensions,
     scale_dimension,
 )
-from .wavelets import LARGE_N, MAX_DENSE_ENTRIES, MAX_N, chain_terms
-from .words import Chain, Word, _accumulate, _pruned
+from .wavelets import LARGE_N, MAX_DENSE_ENTRIES, MAX_N, chain_terms, wavelet_chain
+from .words import Chain, Word, _accumulate, _pruned, delete
 
 RESIDUAL_REL_TOL = 1e-9
 
@@ -253,20 +254,6 @@ def _word_rows(k: int) -> dict[str, int]:
     return {"".join(map(chr, p)): i for i, p in enumerate(permutations(range(1, k + 1)))}
 
 
-@lru_cache(maxsize=None)
-def _chain_matrix(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """X_k, the +-1 chain matrix of the derangements of 1..k, as (row,
-    column, sign) triples in column order: rows the k! words of 1..k in
-    lexicographic order, columns derangement_forms(1..k)."""
-    row_of = _word_rows(k)
-    forms = derangement_forms(range(1, k + 1))
-    flat = (
-        v for j, form in enumerate(forms) for w, s in chain_terms(form.cycles)
-        for v in (row_of[w], j, s)
-    )
-    return tuple(np.fromiter(flat, dtype=np.int32).reshape(-1, 3).T)
-
-
 def _placements(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The ranking index of the k-subsets of 1..m, subsets in combinations
     order and rankings in lexicographic order.  rank[s, a]: the
@@ -290,7 +277,8 @@ def _placements(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 class _Level:
     """The wavelets whose support has k items, for every k-subset at once.
 
-    x: X_k (_chain_matrix), sparse.  factor: the Cholesky factor of
+    x: X_k, sparse, its columns the _chain_column of each form of
+    derangement_forms(1..k).  factor: the Cholesky factor of
     X_k^T X_k, and cho_solve scipy's solver for it.  span: the level's
     coefficients in basis order, subset by subset, set by
     _SubsetTriangular.  From _placements(n, k):
@@ -304,10 +292,13 @@ class _Level:
         import scipy.sparse
 
         self.scale = factorial(n - k + 1)
-        rows, cols, signs = _chain_matrix(k)
-        self.forms = derangement_number(k)
+        forms = derangement_forms(range(1, k + 1))
+        rows, signs = zip(*(_chain_column(form.cycles) for form in forms))
+        self.forms = len(forms)
+        cols = np.repeat(np.arange(self.forms, dtype=np.int32), [len(r) for r in rows])
         self.x = scipy.sparse.csr_array(
-            (signs.astype(float), (rows, cols)), shape=(factorial(k), self.forms)
+            (np.concatenate(signs).astype(float), (np.concatenate(rows).astype(np.int32), cols)),
+            shape=(factorial(k), self.forms),
         )
         self.factor = scipy.linalg.cho_factor((self.x.T @ self.x).toarray())
         self.cho_solve = scipy.linalg.cho_solve
@@ -356,17 +347,18 @@ class _SubsetTriangular:
             level.span = slice(start, start + level.forms * level.subsets)
             start = level.span.stop
 
-    def analyze(self, f: np.ndarray) -> np.ndarray:
-        """The coefficients of f (on the lexicographic full rankings)."""
+    def analyze(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficients of f (on the lexicographic full rankings), and
+        what their synthesis leaves of f: each level is subtracted as it is
+        solved, the top one too."""
         coeffs = np.empty(self.size)
         coeffs[0] = f.sum() / self.size
         rest = f - coeffs[0]
         for level in self.levels:
             block = level.solve(rest)
             coeffs[level.span] = block.T.ravel()
-            if level is not self.levels[-1]:  # the top level leaves nothing
-                rest -= level.synthesize(block)
-        return coeffs
+            rest -= level.synthesize(block)
+        return coeffs, rest
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """The function, on the lexicographic full rankings, of coeffs."""
@@ -384,10 +376,9 @@ def _analyze(f: Chain, basis: WaveletBasis, allow_large: bool) -> np.ndarray:
         raise ValueError(
             f"full decomposition at n = {basis.n} needs allow_large=True"
         )
-    engine = basis.lu()
     vec = basis.chain_to_vector(f)
-    coeffs = engine.analyze(vec)
-    residual = float(np.max(np.abs(engine.synthesize(coeffs) - vec)))
+    coeffs, rest = basis.lu().analyze(vec)
+    residual = float(np.max(np.abs(rest)))
     bound = RESIDUAL_REL_TOL * float(np.max(np.abs(vec)))
     if not residual <= bound:
         raise SolverError(
@@ -414,7 +405,7 @@ def decompose(f: Chain, basis: WaveletBasis, allow_large: bool = False) -> Coeff
     by support size, the marginals of what is left on every k-subset are
     solved against one Cholesky factor of G_k = X_k^T X_k (cond(X_7) = 233,
     so cond(G_7) is about 5e4), and that level's contribution is
-    subtracted.  The residual of the synthesized coefficients must not
+    subtracted, the top level's too.  What the levels leave of f must not
     exceed 1e-9 times the sup norm of f.  Full solves from n = LARGE_N on
     sit behind allow_large; at n = 8 the Gram matrix of the top block
     would exceed MAX_DENSE_ENTRIES and is refused before it is built.
@@ -733,7 +724,7 @@ class DimensionReport:
     rank: int | None = None
     eig_sums: list[tuple[int, int, int]] = field(default_factory=list)  # k, found, expected
     failures: list[str] = field(default_factory=list)
-    basis: WaveletBasis | None = field(default=None, repr=False, compare=False)  # whose rank was taken
+    invariants: list[tuple[str, int]] = field(default_factory=list)  # name, wavelets failing
 
     @property
     def passed(self) -> bool:
@@ -754,6 +745,8 @@ class DimensionReport:
             out.append(f"  tableau dims {label}: {found} = {expected} ({tag})")
         out.append("  " + ("all checks passed" if self.passed else "FAILURES:"))
         out.extend(f"    {msg}" for msg in self.failures)
+        for name, bad in self.invariants:
+            out.append(f"  invariant {name}: " + ("PASS" if bad == 0 else f"FAIL ({bad} wavelets)"))
         return out
 
     def __str__(self) -> str:
@@ -761,7 +754,8 @@ class DimensionReport:
 
 
 def verify_dimensions(n: int) -> DimensionReport:
-    """Check wavelet counts, basis rank (n < LARGE_N), and tableau sums."""
+    """Check wavelet counts, tableau sums and, for n < LARGE_N, the basis
+    rank and three invariants of the wavelets, in one report."""
     if not 2 <= n <= MAX_N:
         raise ValueError(f"n must be in 2..{MAX_N}, got {n}")
     report = DimensionReport(n=n)
@@ -781,7 +775,7 @@ def verify_dimensions(n: int) -> DimensionReport:
         report.failures.append(f"total {total} differs from {factorial(n)}")
 
     if n < LARGE_N:
-        basis = report.basis = build_basis(n)
+        basis = build_basis(n)
         if len(basis) != factorial(n):
             report.failures.append(
                 f"basis has {len(basis)} elements, expected {factorial(n)}"
@@ -791,6 +785,25 @@ def verify_dimensions(n: int) -> DimensionReport:
             report.failures.append(
                 f"basis matrix rank {report.rank} below {factorial(n)}"
             )
+        checks = {"deletion-annihilation": 0, "value-support-law": 0, "zero-sum": 0}
+        # the columns checked are those of the matrix whose rank was taken
+        for form, psi in zip(basis.forms[1:], basis.matrix().T[1:]):
+            x = wavelet_chain(form, n)
+            for a in form.support():
+                if delete(x, a):
+                    checks["deletion-annihilation"] += 1
+            k, r = form.length(), form.cycle_count()
+            values = psi[psi != 0]
+            values_ok = bool((abs(values) == 1).all())
+            size_ok = len(values) == 2 ** (k - r) * factorial(n - k + 1)
+            if not (values_ok and size_ok):
+                checks["value-support-law"] += 1
+            if psi.sum() != 0:
+                checks["zero-sum"] += 1
+        report.invariants = sorted(checks.items())
+        report.failures.extend(
+            f"invariant {name} failed on {bad} wavelets" for name, bad in report.invariants if bad
+        )
 
     sums = eig_class_dimensions(n)
     for k in [0] + list(range(2, n + 1)):

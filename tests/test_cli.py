@@ -163,6 +163,9 @@ def test_verify_corruption_hook(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--n", "3")
     assert code == 1
     assert "FAIL" in out
+    # one report holds every failure, the invariants' too
+    assert "all checks passed" not in out
+    assert "FAILURES:\n    invariant value-support-law failed on 1 wavelets" in out
 
 
 def test_sample_deterministic(tmp_path, capsys):
@@ -627,6 +630,9 @@ BAD_DESIGN_PAYLOADS = [
     {"n": "4", "design": [[1, 2]]},
     {"n": 4.5, "design": [[1, 2]]},
     {"n": 4},
+    # repeated items, and subsets that repeat once their items are sets
+    {"n": 3, "design": [[1, 1, 2], [1, 2]]},
+    {"n": 3, "design": [[1, 2], [2, 1]]},
 ]
 
 
@@ -644,6 +650,17 @@ def test_design_file_of_wrong_shape_exits_2(tmp_path, capsys):
             code, out, err = run(capsys, *argv)
             assert code == 2, (payload, argv)
             assert err.startswith("rankmra: ") and "Traceback" not in err and out == ""
+
+
+def test_marginal_refuses_repeated_items_and_subsets(capsys):
+    # 1,1,2 is not read as {1, 2}, nor 2,1 merged into an earlier 1,2
+    for subsets, message in (
+        (["1,1,2"], "[1, 1, 2] repeats an item"),
+        (["1,2", "2,1"], "[1, 2] is given twice"),
+    ):
+        argv = ["marginal", "--n", "3", "--uniform"] + [f"--subset={s}" for s in subsets]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"rankmra: subset {message}\n")
 
 
 DESIGN_N = st.one_of(

@@ -43,7 +43,6 @@ from rankmra.marginals import all_words
 from rankmra.mra import (
     SolverError,
     _chain_column,
-    _chain_matrix,
     _marginal_system,
     _solve_design,
     basis_keys,
@@ -174,6 +173,20 @@ def test_subset_triangular_engine_matches_dense_oracle(basis_for):
         for f in (random_chain(n, rng), Chain.dirac(rng.choice(basis.words))):
             c = decompose(f, basis)
             _against_dense_oracle(basis, f, np.array([c.get(key) for key in basis.keys]))
+
+
+def test_decompose_synthesizes_each_level_once(basis_for, monkeypatch):
+    # the level pass subtracts every level, the top one too, and what it
+    # leaves is the residual gated: no second synthesis of the coefficients
+    basis = basis_for(5)
+    calls = []
+    level_synthesize = mra_module._Level.synthesize
+    monkeypatch.setattr(
+        mra_module._Level, "synthesize",
+        lambda self, block: calls.append(self) or level_synthesize(self, block),
+    )
+    decompose(random_chain(5, random.Random(5)), basis)
+    assert calls == basis.lu().levels and len(calls) == 4
 
 
 def test_full_analysis_at_n7_builds_no_dense_matrix():
@@ -549,7 +562,10 @@ def _refused_before_any_block(design, match, monkeypatch):
     fam = MarginalFamily(
         {s: Chain.dirac(Word(tuple(sorted(s)), design.n)) for s in design}, design
     )
-    monkeypatch.setattr(mra_module, "_marginal_system", pytest.fail)
+    monkeypatch.setattr(
+        mra_module, "_marginal_system",
+        lambda design, forms: pytest.fail(f"assembled {len(forms)} columns of {design.to_json()}"),
+    )
     with pytest.raises(ValueError, match=match):
         decompose_marginals(fam)
     monkeypatch.undo()
@@ -586,7 +602,10 @@ def test_check_marginal_system_guard(monkeypatch):
     _refused_before_any_block(sixes, "12740 rows and 3236 columns", monkeypatch)
     # a 30-item subset is refused from its size alone: its closure
     # (2^30 subsets) is never walked
-    monkeypatch.setattr(marginals_module, "supports_within", pytest.fail)
+    monkeypatch.setattr(
+        marginals_module, "supports_within",
+        lambda items: pytest.fail(f"walked the closure of {len(items)} items"),
+    )
     big = ObservationDesign([range(1, 31)], 30)
     with pytest.raises(ValueError, match="R factors"):
         check_marginal_system(big)
@@ -638,9 +657,12 @@ def test_decompose_refuses_chain_of_another_n(basis_for):
 def test_marginal_of_an_eight_item_support_reads_one_chain():
     # one key whose support has 8 items needs its own chain, not all of X_8
     c = CoefficientVector({"id": 1 / factorial(8), "(1 2 3 4 5 6 7 8)": 1e-6}, 8)
-    _chain_matrix.cache_clear()
+    _chain_column.cache_clear()
     got = synthesize_marginals(c, [range(1, 9)])
-    assert _chain_matrix.cache_info().currsize == 0
+    # the one column read is the 8-cycle's: reading it again is a hit
+    _chain_column(((1, 2, 3, 4, 5, 6, 7, 8),))
+    info = _chain_column.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     assert got[frozenset(range(1, 9))] == _chain_sum_marginal(c, range(1, 9))
 
 
