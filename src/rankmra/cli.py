@@ -146,6 +146,14 @@ def cmd_basis(args: argparse.Namespace) -> int:
     return _write_lines(args.output, _basis_lines(n, args.expand))
 
 
+def _subset_items(text: str) -> list[int]:
+    """The items of one --subset value, such as 1,3."""
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--subset {text!r} is not a comma-separated list of integers") from None
+
+
 def cmd_marginal(args: argparse.Namespace) -> int:
     sources = (args.input is not None) + args.uniform + (args.dataset is not None)
     if sources != 1:
@@ -160,7 +168,7 @@ def cmd_marginal(args: argparse.Namespace) -> int:
         if args.n is None:
             raise ValueError("either --design or --n with --subset is required")
         n = args.n
-        subsets = distinct_subsets([int(tok) for tok in text.split(",")] for text in args.subset)
+        subsets = distinct_subsets(_subset_items(text) for text in args.subset)
         if not subsets:
             raise ValueError("no target subsets given")
     for s in subsets:

@@ -66,7 +66,7 @@ from .perms import (
     scale_dimension,
 )
 from .wavelets import LARGE_N, MAX_DENSE_ENTRIES, MAX_N, chain_terms, wavelet_chain
-from .words import Chain, Word, _accumulate, _pruned, delete
+from .words import FLOAT_PRUNE_TOL, Chain, Word, _accumulate, _pruned, delete
 
 RESIDUAL_REL_TOL = 1e-9
 
@@ -133,16 +133,28 @@ class WaveletBasis:
     def chain_to_vector(self, f: Chain) -> np.ndarray:
         if f.n != self.n:
             raise ValueError(f"f is a chain for n = {f.n}, the basis for n = {self.n}")
+        rows = [self._row.get(w.letters, -1) for w in f.terms]
+        if -1 in rows:
+            w = list(f.terms)[rows.index(-1)]
+            raise ValueError(f"word {w} is not a full ranking of 1..{self.n}")
         vec = np.zeros(len(self.words))
-        for w, c in f.terms.items():
-            pos = self._row.get(w.letters)
-            if pos is None:
-                raise ValueError(f"word {w} is not a full ranking of 1..{self.n}")
-            vec[pos] = c
+        vec[rows] = list(f.terms.values())
         return vec
 
     def vector_to_chain(self, vec: np.ndarray) -> Chain:
-        return Chain({w: float(v) for w, v in zip(self.words, vec)}, self.n)
+        """The chain of a float vector on the lexicographic full rankings,
+        pruned and refused as Chain() would, in row order."""
+        vec = np.asarray(vec, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(vec))
+        if len(bad):
+            raise ValueError(
+                f"coefficient of {self.words[bad[0]]} is not finite: {float(vec[bad[0]])!r}"
+            )
+        rows = np.flatnonzero(np.abs(vec) > FLOAT_PRUNE_TOL)
+        words = self.words
+        return Chain._make(
+            {words[i]: v for i, v in zip(rows.tolist(), vec[rows].tolist())}, self.n
+        )
 
     def matrix(self) -> np.ndarray:
         """Columns are the wavelet functions over lexicographic full rankings:
@@ -174,7 +186,12 @@ def build_basis(n: int) -> WaveletBasis:
 
 @dataclass
 class CoefficientVector:
-    """Expansion coefficients keyed by standard-cycle-form strings."""
+    """Expansion coefficients keyed by standard-cycle-form strings.
+
+    Every key and value is validated on construction.  _make skips that
+    for coefficients the library itself solved: decompose alone calls it,
+    with the basis keys and the floats its residual gate has passed.
+    """
 
     coeffs: dict[str, float]
     n: int
@@ -191,6 +208,13 @@ class CoefficientVector:
                 raise ValueError(f"coefficient {key!r} is not finite: {value!r}")
         if self.scope not in ("full", "design"):
             raise ValueError(f"unknown scope {self.scope!r}")
+
+    @classmethod
+    def _make(cls, coeffs: dict[str, float], n: int, scope: str) -> "CoefficientVector":
+        """Trusted constructor: keys are basis keys, values finite floats."""
+        c = object.__new__(cls)
+        c.coeffs, c.n, c.scope = coeffs, n, scope
+        return c
 
     def get(self, key: str) -> float:
         return self.coeffs.get(key, 0.0)
@@ -411,20 +435,21 @@ def decompose(f: Chain, basis: WaveletBasis, allow_large: bool = False) -> Coeff
     would exceed MAX_DENSE_ENTRIES and is refused before it is built.
     """
     coeffs = _analyze(f, basis, allow_large)
-    return CoefficientVector(
-        {key: float(c) for key, c in zip(basis.keys, coeffs)}, basis.n, "full"
-    )
+    # the residual gate has refused a non-finite coefficient: it would make
+    # what the levels leave of f non-finite too
+    return CoefficientVector._make(dict(zip(basis.keys, coeffs.tolist())), basis.n, "full")
 
 
 def synthesize(c: CoefficientVector, basis: WaveletBasis) -> Chain:
     """The chain with the given wavelet coefficients."""
     if c.n != basis.n:
         raise ValueError(f"coefficients are for n = {c.n}, the basis for n = {basis.n}")
+    rows = [basis._index.get(key, -1) for key in c.coeffs]
+    if -1 in rows:
+        key = list(c.coeffs)[rows.index(-1)]
+        raise KeyError(f"coefficient key {key!r} not in basis")
     vec = np.zeros(len(basis))
-    for key, value in c.coeffs.items():
-        if key not in basis._index:
-            raise KeyError(f"coefficient key {key!r} not in basis")
-        vec[basis._index[key]] = value
+    vec[rows] = list(c.coeffs.values())
     return _evaluate(vec, basis)
 
 

@@ -4,9 +4,9 @@ bench/spans.py rebinds rankmra functions from outside, and bench/child.py
 calls the library directly, so a rename or deletion under src/ would only
 show in a traced benchmark run (`bench/run.py --trace 1`).  This test makes
 it fail the test suite instead, and checks that the library session's
-round trip never builds the dense basis matrix.  It runs in a subprocess
-because `Recorder.install()` rebinds module attributes for the whole
-process.
+round trip neither builds the dense basis matrix nor parses a key.  It
+runs in a subprocess because `Recorder.install()` rebinds module
+attributes for the whole process.
 """
 
 import json
@@ -29,16 +29,21 @@ import rankmra.wavelets
 import spans
 from rankmra.words import Chain, Word
 
-spans.Recorder().install()
+recorder = spans.Recorder()
+recorder.install()
 assert isinstance(rankmra.wavelets._chain_cache, dict)
 assert rankmra.cli.main(["basis", "--n", "3", "--output", os.devnull]) == 0
 basis = rankmra.mra.build_basis(3)
 basis.lu()
+rankmra.mra._parse_key.cache_clear()
+first = len(recorder.start)
 f = Chain({Word(p, 3): float(i + 1) for i, p in enumerate(permutations(range(1, 4)))}, 3)
 c = rankmra.mra.decompose(f, basis, allow_large=True)
 rankmra.mra.synthesize(c, basis)
 rankmra.mra.dezoom(f, 2, basis, allow_large=True)
 assert basis._matrix is None  # the bench times the engine, not the dense oracle
+# nor does it parse the coefficient keys the basis itself produced
+assert recorder.name_id("perms.cycleform_parse") not in recorder.name_idx[first:]
 design, data = sys.argv[1:]
 argv = ["decompose", "--input", data, "--design", design, "--output", os.devnull]
 assert rankmra.cli.main(argv) == 0

@@ -663,6 +663,13 @@ def test_marginal_refuses_repeated_items_and_subsets(capsys):
         assert (code, out, err) == (2, "", f"rankmra: subset {message}\n")
 
 
+@pytest.mark.parametrize("text", ["1,a", "1,,2", "1.5,2"])
+def test_marginal_names_a_subset_that_is_not_integers(text, capsys):
+    code, out, err = run(capsys, "marginal", "--n", "3", "--uniform", f"--subset={text}")
+    message = f"rankmra: --subset {text!r} is not a comma-separated list of integers\n"
+    assert (code, out, err) == (2, "", message)
+
+
 DESIGN_N = st.one_of(
     st.integers(2, 6), st.text(max_size=2), st.floats(), st.none(), st.booleans()
 )

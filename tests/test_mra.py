@@ -794,3 +794,97 @@ def test_full_analysis_refuses_a_non_finite_level_solve(basis_for, monkeypatch):
     )
     with pytest.raises(SolverError, match="residual nan"):
         decompose(random_chain(4, random.Random(4)), basis_for(4))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("bad", ["all", "one"])
+def test_full_analysis_refuses_an_infinite_level_solve(bad, basis_for, monkeypatch):
+    # decompose keeps its coefficients unchecked: an infinite one, even
+    # alone, leaves a non-finite residual, which the gate refuses
+    solve = mra_module._Level.solve
+
+    def infinite(self, rest):
+        block = solve(self, rest)
+        if bad == "all":
+            block[:] = np.inf
+        elif self.subsets == 1:  # the top level's last coefficient
+            block[-1, 0] = np.inf
+        return block
+
+    monkeypatch.setattr(mra_module._Level, "solve", infinite)
+    with pytest.raises(SolverError, match="residual"):
+        decompose(random_chain(4, random.Random(4)), basis_for(4))
+
+
+def test_round_trip_parses_no_key(monkeypatch):
+    # decompose keys its coefficients with the basis's own keys, and
+    # synthesize and dezoom read them by those keys: no key is parsed
+    basis = build_basis(5)
+    basis.lu()
+
+    def refuse(*args):
+        raise AssertionError(f"parsed the key {args[-1]!r}")
+
+    mra_module._parse_key.cache_clear()
+    monkeypatch.setattr(mra_module, "_parse_key", refuse)
+    monkeypatch.setattr(CycleForm, "parse", classmethod(refuse))
+    f = random_chain(5, random.Random(15))
+    g = synthesize(decompose(f, basis), basis)
+    assert (g - f).norm_inf() < 1e-9
+    assert (dezoom(f, 5, basis) - f).norm_inf() < 1e-9
+
+
+def test_decompose_keeps_the_engine_floats_in_basis_order(basis_for):
+    rng = random.Random(16)
+    for n in range(3, 7):
+        basis = basis_for(n)
+        f = random_chain(n, rng)
+        c = decompose(f, basis)
+        engine = mra_module._analyze(f, basis, False)
+        assert list(c.coeffs) == basis.keys
+        assert list(c.coeffs.values()) == [float(x) for x in engine]
+        assert {type(v) for v in c.coeffs.values()} == {float}
+        assert (c.n, c.scope) == (n, "full")
+        assert c == CoefficientVector(dict(c.coeffs), n)  # what validation accepts
+    # the first key that is not the basis's key text is named
+    coeffs = CoefficientVector({"id": 1.0, "(1 2)": 0.5, "(2 1)": 1.0, "(3 1)": 2.0}, 3)
+    with pytest.raises(KeyError) as raised:
+        synthesize(coeffs, basis_for(3))
+    assert raised.value.args == ("coefficient key '(2 1)' not in basis",)
+
+
+def test_chain_to_vector_refuses_a_word_that_is_not_a_full_ranking(basis_for):
+    basis = basis_for(4)
+    f = Chain({Word((1, 2, 3, 4), 4): 1.0, Word((2, 1), 4): 2.0, Word((3,), 4): 1.0}, 4)
+    with pytest.raises(ValueError, match=r"^word 21 is not a full ranking of 1\.\.4$"):
+        basis.chain_to_vector(f)
+
+
+_TINY = 1e-12
+EDGE_VALUES = [
+    _TINY, -_TINY, np.nextafter(_TINY, 1.0), np.nextafter(_TINY, 0.0),
+    -np.nextafter(_TINY, 1.0), -np.nextafter(_TINY, 0.0), 0.0, -0.0,
+    5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=24, max_size=24,
+    ),
+    st.integers(0, 23),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+def test_vector_to_chain_prunes_as_chain_does(values, where, bad):
+    basis = build_basis(4)
+    got = basis.vector_to_chain(np.array(values))
+    want = Chain({w: float(v) for w, v in zip(basis.words, values)}, 4)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert {type(v) for v in got.terms.values()} <= {float}
+    kept = [v if abs(v) > _TINY else 0.0 for v in values]
+    assert basis.chain_to_vector(want).tolist() == kept
+    values[where] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        basis.vector_to_chain(np.array(values))
