@@ -19,10 +19,11 @@ import json
 import random
 import sys
 from contextlib import nullcontext
-from functools import cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import factorial, isfinite
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .marginals import (
     ObservationDesign,
@@ -37,7 +38,6 @@ from .mra import (
     CoefficientVector,
     ProjectivityError,
     SolverError,
-    basis_forms,
     build_basis,
     check_listable,
     check_marginal_system,
@@ -49,7 +49,7 @@ from .mra import (
     synthesize_marginals,
     verify_dimensions,
 )
-from .wavelets import LARGE_N, MAX_N, chain_terms, cycle_terms
+from .wavelets import LARGE_N, MAX_N, level_chains
 from .words import Word, restrict
 
 EXIT_OK = 0
@@ -119,20 +119,37 @@ def _basis_lines(n: int, expand: bool) -> Iterator[str]:
             terms = " ".join([signed[s][row] for row, s in zip(rows.tolist(), signs.tolist())])
             yield f"{key}: {terms}\n"
         return
-    # the blocks of multi-cycle forms recur across forms, so they are kept;
-    # one-cycle forms skip the cache, which would otherwise hold every cycle
-    # up to length n
-    shared = cache(cycle_terms)
-    # letters are encoded as chr(1..n), clear of " ", "+" and "-"; as
-    # n <= MAX_N < 10, a word's text is its digits
-    digits = {a: str(a) for a in range(1, n + 1)}
-    for form in basis_forms(n):
-        if len(form.cycles) == 1:
-            terms = cycle_terms(form.cycles[0])
-        else:
-            terms = chain_terms(form.cycles, shared)
-        line = " ".join([("+" if s > 0 else "-") + word for word, s in terms])
-        yield f"{form}: {line.translate(digits)}\n"
+    # a chain's pattern on 1..k has the chain's words, relabelled; so each
+    # level's lines are formatted once and relabelled for every k-subset.
+    # Labels are single digits, as n <= MAX_N < 10
+    digits = b"123456789"
+    for k in range(2, n):
+        level = b"".join(_level_lines(k))
+        for subset in combinations(digits[:n], k):
+            yield level.translate(bytes.maketrans(digits[:k], bytes(subset))).decode()
+    # the top level has one subset, 1..n itself, and is never held whole
+    for lines in _level_lines(n):
+        yield lines.decode()
+
+
+def _level_lines(k: int) -> Iterator[bytes]:
+    """The chain lines of the derangement forms of 1..k, a chunk at a time."""
+    for forms, words, signs in level_chains(k):
+        # one cell a term: its sign, its letters, then " " or, after a
+        # chain's last term, "\n"
+        cells = np.empty((len(words), k + 2), np.uint8)
+        cells[:, 0] = ord(",") - signs  # "+" or "-"
+        cells[:, 1:-1] = words + ord("0")
+        cells[:, -1] = ord(" ")
+        ends = np.cumsum([1 << (k - len(form.cycles)) for form in forms])
+        cells[ends - 1, -1] = ord("\n")
+        text = memoryview(cells).cast("B")
+        cuts = (k + 2) * np.concatenate(([0], ends))
+        yield b"".join(
+            piece
+            for form, a, b in zip(forms, cuts[:-1].tolist(), cuts[1:].tolist())
+            for piece in (f"{form}: ".encode(), text[a:b])
+        )
 
 
 def cmd_basis(args: argparse.Namespace) -> int:

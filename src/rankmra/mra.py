@@ -376,7 +376,15 @@ class _SubsetTriangular:
         what their synthesis leaves of f: each level is subtracted as it is
         solved, the top one too."""
         coeffs = np.empty(self.size)
-        coeffs[0] = f.sum() / self.size
+        with np.errstate(over="ignore"):
+            total = f.sum()
+        if np.isinf(total) and np.isfinite(f).all():
+            # the sum of a finite f overflows: take the mean of f scaled by
+            # a power of two past sup|f|, which is exact
+            _, exponent = np.frexp(np.abs(f).max())
+            coeffs[0] = np.ldexp(np.ldexp(f, -exponent).sum() / self.size, exponent)
+        else:
+            coeffs[0] = total / self.size
         rest = f - coeffs[0]
         for level in self.levels:
             block = level.solve(rest)
@@ -405,10 +413,10 @@ def _analyze(f: Chain, basis: WaveletBasis, allow_large: bool) -> np.ndarray:
     residual = float(np.max(np.abs(rest)))
     bound = RESIDUAL_REL_TOL * float(np.max(np.abs(vec)))
     if not residual <= bound:
-        raise SolverError(
-            f"solve residual {residual:.3g} exceeds {bound:.3g}; "
-            "a level block may be ill-conditioned"
-        )
+        cause = "a level block may be ill-conditioned"
+        if not np.isfinite(residual):
+            cause = "a level left non-finite values, as when f is too large for the level solves"
+        raise SolverError(f"solve residual {residual:.3g} exceeds {bound:.3g}; {cause}")
     return coeffs
 
 

@@ -5,20 +5,29 @@ The paper generates a wavelet chain x_tau per cycle by star elimination
 star with the largest right-hand neighbor by a diamond product) and
 concatenates the cycles.  That generator is kept as `_cycle_chain`, the
 reference the closed form is tested against; chains are built from the
-closed form, which runs each cycle's sign ladder backwards.  Embedding a
-chain by contiguous extensions yields the wavelet function psi_tau on full
-rankings.  The embeddings here (`wavelet`, `embed`, `embed_into`,
-`marginal_wavelet`) are the Word-level definitions the tests hold the
-ranking index of `mra` to; every production path reads that index instead.
+closed form, which runs each cycle's sign ladder backwards.  `cycle_terms`
+and `chain_terms` run it on strings for single chains (`wavelet_chain`, the
+columns of `mra`) and are the tests' oracle.  The level builder
+`level_chains` runs it on arrays for every derangement form of 1..k at
+once, a chunk of forms at a time, and `basis` relabels each level onto
+every k-subset.  Embedding a chain by contiguous extensions yields the
+wavelet function psi_tau on full rankings.  The embeddings here (`wavelet`,
+`embed`, `embed_into`, `marginal_wavelet`) are the Word-level definitions
+the tests hold the ranking index of `mra` to; every production path reads
+that index instead.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 from math import factorial
+from typing import Iterator
+
+import numpy as np
 
 from .marginals import all_words, contiguous_extensions, extensions
-from .perms import CycleForm, Permutation, standard_cycle_form
+from .perms import CycleForm, Permutation, derangement_forms, standard_cycle_form
 from .words import Chain, Word, _accumulate, content, diamond
 
 # Scale policy of the package, imported by every module that needs it.
@@ -67,15 +76,129 @@ def cycle_terms(cycle: tuple[int, ...]) -> list[tuple[str, int]]:
     return terms
 
 
-def chain_terms(cycles: tuple[tuple[int, ...], ...], block=cycle_terms) -> list[tuple[str, int]]:
+def chain_terms(cycles: tuple[tuple[int, ...], ...]) -> list[tuple[str, int]]:
     """Signed words of the chain of a standard cycle form, encoded as in
     cycle_terms and in lexicographic order: the nested product of its
-    one-cycle blocks in standard order.  `block` gives the one-cycle
-    terms, so that a caller can share them between forms."""
-    terms = block(cycles[0])
+    one-cycle blocks in standard order."""
+    terms = cycle_terms(cycles[0])
     for cycle in cycles[1:]:
-        terms = [(a + b, s * t) for a, s in terms for b, t in block(cycle)]
+        terms = [(a + b, s * t) for a, s in terms for b, t in cycle_terms(cycle)]
     return terms
+
+
+_LEVEL_CHUNK = 512  # forms per batch of level_chains, which bounds what it holds
+
+
+def _cycle_blocks(cycles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one-cycle chains of a batch of cycles, each a row that holds
+    1..l: cycle_terms run on letter positions for every cycle at once.
+    Returns the words (cycles, 2^(l-1), l) int8, in lexicographic order
+    per cycle, and their signs (cycles, 2^(l-1)) int8."""
+    count, l = cycles.shape
+    rows = np.arange(count)
+    after = np.roll(cycles, -1, axis=1)
+    succ = np.zeros((count, l + 1), np.int8)
+    pred = np.zeros((count, l + 1), np.int8)
+    succ[rows[:, None], cycles] = after
+    pred[rows[:, None], after] = cycles
+    # the sign ladder: peel l, l-1, ..., 2, each from beside its predecessor
+    before = np.zeros((count, l + 1), np.int8)
+    for top in range(l, 1, -1):
+        b, a = pred[:, top], succ[:, top]
+        before[:, top] = b
+        succ[rows, b] = a
+        pred[rows, a] = b
+    # run backwards: pos[c, w, i] is where letter i + 1 stands in word w,
+    # meaningful for the letters placed so far
+    pos = np.zeros((count, 1, l), np.int8)
+    signs = np.ones((count, 1), np.int8)
+    for top in range(2, l + 1):
+        at = pos[rows, :, before[:, top] - 1][..., None]
+        right = pos + (pos > at)
+        right[..., top - 1] = at[..., 0] + 1
+        left = pos + (pos >= at)
+        left[..., top - 1] = at[..., 0]
+        pos = np.stack((right, left), axis=2).reshape(count, -1, l)
+        signs = np.stack((signs, -signs), axis=2).reshape(count, -1)
+    # each word, padded to 8 letters (l <= MAX_N), reads as one big-endian
+    # integer, whose order is the words' lexicographic order
+    words = np.zeros((pos.shape[0] * pos.shape[1], 8), np.int8)
+    terms = np.arange(len(words))
+    for i in range(l):
+        words[terms, pos[..., i].ravel()] = i + 1
+    key = words.view(">u8").reshape(count, -1)
+    order = np.argsort(key, axis=1)
+    words = np.take_along_axis(key, order, axis=1).view(np.int8).reshape(count, -1, 8)
+    return words[..., :l], np.take_along_axis(signs, order, axis=1)
+
+
+def _codes(cycles: np.ndarray) -> np.ndarray:
+    """Each row of letters 1..l as one base-(l + 1) number, increasing in
+    the rows' lexicographic order."""
+    l = cycles.shape[-1]
+    return cycles @ (l + 1) ** np.arange(l - 1, -1, -1)
+
+
+@lru_cache(maxsize=None)
+def _pattern_blocks(l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one-cycle chains of every standard cycle of 1..l, cycles in
+    lexicographic order: their _codes, then _cycle_blocks of them."""
+    cycles = np.array([(1, *rest) for rest in permutations(range(2, l + 1))], np.int8)
+    return (_codes(cycles), *_cycle_blocks(cycles))
+
+
+def _product_blocks(cycles: np.ndarray, lengths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The chains of forms of one cycle type, each a row of its cycles
+    written one after another: the broadcast product of each cycle's
+    pattern block, relabelled onto the cycle's letters.  Returns words
+    (forms, terms, k) and signs (forms, terms), as _cycle_blocks."""
+    count, k = cycles.shape
+    rows = np.arange(count)[:, None, None]
+    words = np.empty((count, *(1 << (l - 1) for l in lengths), k), np.int8)
+    signs = np.ones(words.shape[:-1], np.int8)
+    start = 0
+    for i, l in enumerate(lengths):
+        cycle = cycles[:, start : start + l]
+        codes, block, sign = _pattern_blocks(l)
+        # a cycle's pattern ranks its letters among themselves
+        pattern = np.argsort(np.argsort(cycle, axis=1), axis=1) + 1
+        which = np.searchsorted(codes, _codes(pattern))
+        shape = [count] + [1] * len(lengths)
+        shape[i + 1] = -1
+        letters = np.sort(cycle, axis=1)[rows, block[which] - 1]
+        words[..., start : start + l] = letters.reshape(*shape, l)
+        signs *= sign[which].reshape(shape)
+        start += l
+    return words.reshape(count, -1, k), signs.reshape(count, -1)
+
+
+def level_chains(k: int) -> Iterator[tuple[list[CycleForm], np.ndarray, np.ndarray]]:
+    """The chains of the derangement forms of 1..k, as arrays, a chunk of
+    forms at a time in derangement_forms order: (forms, words, signs).
+    words (terms, k) int8 holds the chains' words one chain after
+    another, each chain's 2^(k - cycles) words in lexicographic order, and
+    signs (terms,) int8 their coefficients.  The same terms as
+    chain_terms, which serves single chains."""
+    forms = derangement_forms(range(1, k + 1))
+    for start in range(0, len(forms), _LEVEL_CHUNK):
+        chunk = forms[start : start + _LEVEL_CHUNK]
+        types: dict[tuple[int, ...], list[int]] = {}
+        for i, form in enumerate(chunk):
+            types.setdefault(tuple(map(len, form.cycles)), []).append(i)
+        counts = np.array([1 << (k - len(form.cycles)) for form in chunk])
+        offsets = np.cumsum(counts) - counts
+        words = np.empty((int(counts.sum()), k), np.int8)
+        signs = np.empty(len(words), np.int8)
+        for lengths, members in types.items():
+            cycles = np.array([sum(chunk[i].cycles, ()) for i in members], np.int8)
+            if len(lengths) == 1:
+                block, sign = _cycle_blocks(cycles)
+            else:
+                block, sign = _product_blocks(cycles, lengths)
+            at = offsets[members][:, None] + np.arange(block.shape[1])
+            words[at] = block
+            signs[at] = sign
+        yield chunk, words, signs
 
 
 def _check_support(form: CycleForm, n: int) -> None:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
 from math import factorial
@@ -97,6 +99,41 @@ def test_basis_chains_stream_without_chain_cache(tmp_path, capsys):
     for line in lines:
         key, _, text = line.partition(": ")
         assert text == format_chain(wavelet_chain(CycleForm.parse(key), 6))
+
+
+@pytest.mark.parametrize(
+    "n, sha256",
+    [
+        (7, "c0b20cbff92715752d48e130871b20127b33583096bc27b93e7df8e3f0f32904"),
+        (8, "54bb2c697c88028aab603f00746fea24e028518c4fcf039455d01e552e797020"),
+    ],
+)
+def test_basis_chains_keep_their_bytes(n, sha256, tmp_path):
+    # the bytes that the string closed form wrote, at the sizes whose
+    # levels are relabelled per subset and whose top level is streamed
+    out_path = tmp_path / "basis.txt"
+    assert main(["basis", "--n", str(n), "--output", str(out_path)]) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == sha256
+
+
+def test_basis_chains_on_stdout_equal_the_output_file(tmp_path, capsys):
+    code, out, _ = run(capsys, "basis", "--n", "5")
+    assert code == 0
+    out_path = tmp_path / "basis.txt"
+    assert run(capsys, "basis", "--n", "5", "--output", str(out_path))[0] == 0
+    assert out_path.read_bytes() == out.encode("utf-8")
+
+
+def test_basis_chains_stream_the_top_level():
+    # the 14 833 chains of the top level at n = 8 come to 12 MB of text;
+    # they are written a chunk at a time, never held whole
+    tracemalloc.start()
+    try:
+        assert main(["basis", "--n", "8", "--output", os.devnull]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_basis_expand_equals_embedded_wavelets(capsys):

@@ -787,6 +787,27 @@ def test_design_path_reads_each_chain_once(monkeypatch):
     assert len(calls) <= sum(len(derangements(range(1, k + 1), k)) for k in range(2, 7)) == 321
 
 
+def test_full_analysis_takes_the_mean_of_a_finite_f_whose_sum_overflows(basis_for):
+    basis = basis_for(3)
+    big = Chain({w: 1.7e308 for w in basis.words}, 3)  # its sum, 1.02e309, overflows
+    c = decompose(big, basis)
+    assert c.coeffs["id"] == pytest.approx(1.7e308, rel=1e-15)
+    assert all(value == 0 for key, value in c.coeffs.items() if key != "id")
+    back = synthesize(c, basis)
+    assert max(abs(back(w) - big(w)) for w in basis.words) <= 1e-9 * 1.7e308
+    # where the sum is finite, the constant is the plain mean, bit for bit
+    f = random_chain(3, random.Random(3))
+    assert decompose(f, basis).coeffs["id"] == basis.chain_to_vector(f).sum() / 6
+
+
+def test_full_analysis_names_an_overflow_in_the_levels(basis_for):
+    # the mean is finite, but the level solves overflow
+    basis = basis_for(5)
+    f = Chain({basis.words[0]: 1.7e308, basis.words[1]: -1.7e308}, 5)
+    with pytest.raises(SolverError, match="residual nan .* too large for the level solves"):
+        decompose(f, basis)
+
+
 def test_full_analysis_refuses_a_non_finite_level_solve(basis_for, monkeypatch):
     # the level solves skip scipy's finiteness scan; the residual gate judges
     monkeypatch.setattr(

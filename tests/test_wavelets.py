@@ -28,9 +28,10 @@ from rankmra import (
     wavelet,
     wavelet_chain,
 )
+from rankmra import wavelets as wavelets_module
 from rankmra.marginals import all_words
 from rankmra.perms import derangement_forms, derangement_number, standard_cycle_form
-from rankmra.wavelets import _cycle_chain
+from rankmra.wavelets import _cycle_chain, chain_terms, level_chains
 from rankmra.words import concat, format_chain, parse_chain
 
 
@@ -94,6 +95,54 @@ def test_closed_form_matches_star_elimination_random_n8(images):
     tau = standard_cycle_form(Permutation(images))
     assume(tau.cycles)
     assert_matches_star_elimination(tau, 8)
+
+
+def level_terms(k: int):
+    """level_chains(k) form by form: each form with a function that gives
+    its chain's terms, encoded as in chain_terms."""
+    for forms, words, signs in level_chains(k):
+        start = 0
+        for tau in forms:
+            stop = start + (1 << (k - tau.cycle_count()))
+            yield tau, lambda x=words[start:stop], s=signs[start:stop]: [
+                ("".join(map(chr, w)), c) for w, c in zip(x.tolist(), s.tolist())
+            ]
+            start = stop
+        assert start == len(words) == len(signs)
+
+
+def test_level_chains_match_chain_terms():
+    # every derangement form of 1..k for k <= 7, in derangement_forms order
+    for k in range(2, 8):
+        got = list(level_terms(k))
+        assert [tau for tau, _ in got] == derangement_forms(range(1, k + 1))
+        for tau, terms in got:
+            assert terms() == chain_terms(tau.cycles), str(tau)
+
+
+def test_level_chains_match_chain_terms_on_every_cycle_type_at_k8():
+    types = set()
+    for i, (tau, terms) in enumerate(level_terms(8)):
+        cycle_type = tuple(map(len, tau.cycles))
+        if cycle_type not in types or i % 97 == 0:
+            types.add(cycle_type)
+            assert terms() == chain_terms(tau.cycles), str(tau)
+    # the cycle lengths in standard order: the 13 compositions of 8 into
+    # parts of at least 2
+    assert len(types) == 13
+
+
+def test_level_chains_do_not_depend_on_the_chunk(monkeypatch):
+    def flat(k):
+        forms, words, signs = zip(*level_chains(k))
+        return sum(forms, []), np.concatenate(words), np.concatenate(signs)
+
+    whole = flat(6)
+    monkeypatch.setattr(wavelets_module, "_LEVEL_CHUNK", 1)
+    single = flat(6)
+    assert len(whole[0]) == 265
+    assert single[0] == whole[0]
+    assert np.array_equal(single[1], whole[1]) and np.array_equal(single[2], whole[2])
 
 
 def test_wavelet_chain_rejects_support_outside_universe():
