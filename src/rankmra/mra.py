@@ -13,11 +13,11 @@ and the residual of every solve is still checked against the 1e-9 gate.
 The dense basis matrix is built only as a test oracle and for `verify`.
 
 One ranking index serves the engine, the dense basis matrix, the design
-system and marginal synthesis: X_k column by column, each read once into
-a bounded cache (_chain_column), and for the rankings of 1..m the rank of
-their restriction to each k-subset and whether that subset stands
-together in them.  A marginal of psi_tau is X_k's column of tau read at
-those ranks, where supp tau is contiguous.
+system and marginal synthesis: X_k, from the level table of
+`wavelets.level_matrix`, and for the rankings of 1..m the rank of their
+restriction to each k-subset and whether that subset stands together in
+them.  A marginal of psi_tau is X_k's column of tau read at those ranks,
+where supp tau is contiguous.
 
 Marginal-domain analysis assembles its system from closed-form wavelet
 marginals only, so it never materializes the full ranking space.  By
@@ -65,7 +65,7 @@ from .perms import (
     eig_class_dimensions,
     scale_dimension,
 )
-from .wavelets import LARGE_N, MAX_DENSE_ENTRIES, MAX_N, chain_terms, wavelet_chain
+from .wavelets import LARGE_N, MAX_DENSE_ENTRIES, MAX_N, _form_column, level_matrix, wavelet_chain
 from .words import FLOAT_PRUNE_TOL, Chain, Word, _accumulate, _pruned, delete
 
 RESIDUAL_REL_TOL = 1e-9
@@ -272,12 +272,6 @@ class CoefficientVector:
             return cls.from_json(json.load(fh))
 
 
-@lru_cache(maxsize=None)
-def _word_rows(k: int) -> dict[str, int]:
-    """The lexicographic row of each word of 1..k, encoded as in chain_terms."""
-    return {"".join(map(chr, p)): i for i, p in enumerate(permutations(range(1, k + 1)))}
-
-
 def _placements(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The ranking index of the k-subsets of 1..m, subsets in combinations
     order and rankings in lexicographic order.  rank[s, a]: the
@@ -301,11 +295,11 @@ def _placements(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 class _Level:
     """The wavelets whose support has k items, for every k-subset at once.
 
-    x: X_k, sparse, its columns the _chain_column of each form of
-    derangement_forms(1..k).  factor: the Cholesky factor of
-    X_k^T X_k, and cho_solve scipy's solver for it.  span: the level's
-    coefficients in basis order, subset by subset, set by
-    _SubsetTriangular.  From _placements(n, k):
+    x: X_k, sparse, from the triplets of level_matrix(k) in its
+    column-major order, a column per form of derangement_forms(1..k).
+    factor: the Cholesky factor of X_k^T X_k, and cho_solve scipy's solver
+    for it.  span: the level's coefficients in basis order, subset by
+    subset, set by _SubsetTriangular.  From _placements(n, k):
     marginal_slot, for each full ranking (row-major) and k-subset a, a * k!
     plus the rank of the ranking's restriction to a; ranking, slot: the
     pairs in which the subset is contiguous, where its wavelets are nonzero.
@@ -316,13 +310,11 @@ class _Level:
         import scipy.sparse
 
         self.scale = factorial(n - k + 1)
-        forms = derangement_forms(range(1, k + 1))
-        rows, signs = zip(*(_chain_column(form.cycles) for form in forms))
-        self.forms = len(forms)
-        cols = np.repeat(np.arange(self.forms, dtype=np.int32), [len(r) for r in rows])
+        column, indptr, rows, signs = level_matrix(k)
+        self.forms = len(column)
+        cols = np.repeat(np.arange(self.forms, dtype=np.int32), np.diff(indptr))
         self.x = scipy.sparse.csr_array(
-            (np.concatenate(signs).astype(float), (np.concatenate(rows).astype(np.int32), cols)),
-            shape=(factorial(k), self.forms),
+            (signs.astype(float), (rows, cols)), shape=(factorial(k), self.forms)
         )
         self.factor = scipy.linalg.cho_factor((self.x.T @ self.x).toarray())
         self.cho_solve = scipy.linalg.cho_solve
@@ -543,17 +535,6 @@ def _contiguous_ranks(m: int, k: int) -> dict[tuple[int, ...], tuple[np.ndarray,
     }
 
 
-@lru_cache(maxsize=1 << 12)
-def _chain_column(cycles: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """X_k's column of a standard cycle form of a derangement of 1..k: the
-    rows (lexicographic words of 1..k) of its nonzero entries and their
-    signs.  Bounded, as X_8 alone has 14 833 columns."""
-    row_of = _word_rows(sum(map(len, cycles)))
-    terms = chain_terms(cycles)
-    rows = np.fromiter((row_of[w] for w, _ in terms), dtype=np.intp, count=len(terms))
-    return rows, np.fromiter((s for _, s in terms), dtype=np.int32, count=len(terms))
-
-
 def _marginal_terms(form: CycleForm, items: frozenset[int], n: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The closed-form marginal of psi_form on the rankings of items, which
     hold its support, as marginal_wavelet gives it: rows (lexicographic),
@@ -568,9 +549,7 @@ def _marginal_terms(form: CycleForm, items: frozenset[int], n: int) -> tuple[np.
     scale = factorial(n - k + 1) // factorial(m - k + 1)
     letters = tuple(i for i, b in enumerate(sorted(items)) if b in support)
     placed, ranks = _contiguous_ranks(m, k)[letters]
-    # relabelled onto 1..k in the order of its labels, the form stays standard
-    label = {b: i for i, b in enumerate(sorted(support), 1)}
-    rows, signs = _chain_column(tuple(tuple(label[b] for b in cycle) for cycle in form.cycles))
+    rows, signs = _form_column(form)
     x = np.zeros(factorial(k), dtype=np.int32)
     x[rows] = signs
     sign = x[ranks]

@@ -4,17 +4,18 @@ The paper generates a wavelet chain x_tau per cycle by star elimination
 (insert a star between consecutive cycle letters, repeatedly replace the
 star with the largest right-hand neighbor by a diamond product) and
 concatenates the cycles.  That generator is kept as `_cycle_chain`, the
-reference the closed form is tested against; chains are built from the
-closed form, which runs each cycle's sign ladder backwards.  `cycle_terms`
-and `chain_terms` run it on strings for single chains (`wavelet_chain`, the
-columns of `mra`) and are the tests' oracle.  The level builder
-`level_chains` runs it on arrays for every derangement form of 1..k at
-once, a chunk of forms at a time, and `basis` relabels each level onto
-every k-subset.  Embedding a chain by contiguous extensions yields the
-wavelet function psi_tau on full rankings.  The embeddings here (`wavelet`,
-`embed`, `embed_into`, `marginal_wavelet`) are the Word-level definitions
-the tests hold the ranking index of `mra` to; every production path reads
-that index instead.
+oracle the closed form is tested against.  Chains are built from the
+closed form, which runs each cycle's sign ladder backwards: `level_chains`
+runs it on arrays for every derangement form of 1..k at once, a chunk of
+forms at a time, and `basis` relabels each level onto every k-subset.  By
+translation covariance the chain of any form on a k-subset is a column of
+X_k, relabelled; `level_matrix` holds X_k, built once per process from
+`level_chains`, and every other chain read (`wavelet_chain`, the levels
+and marginals of `mra`) slices it.  Embedding a chain by contiguous
+extensions yields the wavelet function psi_tau on full rankings.  The
+embeddings here (`wavelet`, `embed`, `embed_into`, `marginal_wavelet`) are
+the Word-level definitions the tests hold the ranking index of `mra` to;
+every production path reads that index instead.
 """
 
 from __future__ import annotations
@@ -54,44 +55,13 @@ def _cycle_chain(cycle: tuple[int, ...], n: int) -> Chain:
     return chain
 
 
-def cycle_terms(cycle: tuple[int, ...]) -> list[tuple[str, int]]:
-    """Signed words of the one-cycle chain, in lexicographic order.
-
-    The sign ladder run backwards: starting from the cycle's minimum, each
-    peeled maximum goes back immediately right (+) or immediately left (-)
-    of its predecessor, giving 2^(k-1) words with coefficient +-1.  A word
-    is encoded as the string of chr(letter), so insertion is one replace
-    and string order is word order.
-    """
-    terms = [(chr(min(cycle)), 1)]
-    for top, before in reversed(_sign_ladder(cycle)):
-        before = chr(before)
-        right, left = before + chr(top), chr(top) + before
-        grown = []
-        for word, sign in terms:
-            grown.append((word.replace(before, right), sign))
-            grown.append((word.replace(before, left), -sign))
-        terms = grown
-    terms.sort()
-    return terms
-
-
-def chain_terms(cycles: tuple[tuple[int, ...], ...]) -> list[tuple[str, int]]:
-    """Signed words of the chain of a standard cycle form, encoded as in
-    cycle_terms and in lexicographic order: the nested product of its
-    one-cycle blocks in standard order."""
-    terms = cycle_terms(cycles[0])
-    for cycle in cycles[1:]:
-        terms = [(a + b, s * t) for a, s in terms for b, t in cycle_terms(cycle)]
-    return terms
-
-
 _LEVEL_CHUNK = 512  # forms per batch of level_chains, which bounds what it holds
 
 
 def _cycle_blocks(cycles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one-cycle chains of a batch of cycles, each a row that holds
-    1..l: cycle_terms run on letter positions for every cycle at once.
+    1..l: each cycle's sign ladder run backwards on letter positions, each
+    peeled maximum going back right (+) or left (-) of its predecessor.
     Returns the words (cycles, 2^(l-1), l) int8, in lexicographic order
     per cycle, and their signs (cycles, 2^(l-1)) int8."""
     count, l = cycles.shape
@@ -177,8 +147,14 @@ def level_chains(k: int) -> Iterator[tuple[list[CycleForm], np.ndarray, np.ndarr
     forms at a time in derangement_forms order: (forms, words, signs).
     words (terms, k) int8 holds the chains' words one chain after
     another, each chain's 2^(k - cycles) words in lexicographic order, and
-    signs (terms,) int8 their coefficients.  The same terms as
-    chain_terms, which serves single chains."""
+    signs (terms,) int8 their coefficients.  The one closed-form chain
+    generator; k outside 2..MAX_N is refused before any form is listed."""
+    if not 2 <= k <= MAX_N:
+        raise ValueError(f"chains are built for supports of 2..MAX_N = {MAX_N} items, not {k}")
+    return _level_chunks(k)
+
+
+def _level_chunks(k: int) -> Iterator[tuple[list[CycleForm], np.ndarray, np.ndarray]]:
     forms = derangement_forms(range(1, k + 1))
     for start in range(0, len(forms), _LEVEL_CHUNK):
         chunk = forms[start : start + _LEVEL_CHUNK]
@@ -201,6 +177,45 @@ def level_chains(k: int) -> Iterator[tuple[list[CycleForm], np.ndarray, np.ndarr
         yield chunk, words, signs
 
 
+@lru_cache(maxsize=None)
+def _rankings(k: int) -> np.ndarray:
+    """The rankings of 1..k in lexicographic order, (k!, k) int8."""
+    return np.array(list(permutations(range(1, k + 1))), np.int8)
+
+
+@lru_cache(maxsize=None)
+def level_matrix(k: int) -> tuple[dict[tuple, int], np.ndarray, np.ndarray, np.ndarray]:
+    """X_k, the chains of the derangement forms of 1..k, in compressed
+    columns: (column, indptr, rows, signs).  column maps each form's
+    cycles to its column, in derangement_forms order; the rows of column j
+    are rows[indptr[j]:indptr[j + 1]] (int32), each word's lexicographic
+    rank among the rankings of 1..k, in increasing order, and signs
+    (int8) their coefficients.  Built in one pass over level_chains(k),
+    once per process; the arrays are read-only."""
+    chains = level_chains(k)
+    codes = _codes(_rankings(k))
+    cycles, rows, signs = [], [], []
+    for forms, words, sign in chains:
+        cycles.extend(form.cycles for form in forms)
+        rows.append(np.searchsorted(codes, _codes(words)).astype(np.int32))
+        signs.append(sign)
+    indptr = np.concatenate(([0], np.cumsum([1 << (k - len(c)) for c in cycles])))
+    table = indptr, np.concatenate(rows), np.concatenate(signs)
+    for a in table:  # shared by every reader in the process
+        a.flags.writeable = False
+    return {c: j for j, c in enumerate(cycles)}, *table
+
+
+def _form_column(form: CycleForm) -> tuple[np.ndarray, np.ndarray]:
+    """form's column of level_matrix(k), k its support size, relabelled onto
+    1..k in the order of its labels (so it stays standard): rows, signs."""
+    support = sorted(form.support())
+    label = {b: i for i, b in enumerate(support, 1)}
+    column, indptr, rows, signs = level_matrix(len(support))
+    j = column[tuple(tuple(label[b] for b in cycle) for cycle in form.cycles)]
+    return rows[indptr[j] : indptr[j + 1]], signs[indptr[j] : indptr[j + 1]]
+
+
 def _check_support(form: CycleForm, n: int) -> None:
     support = form.support()
     if support and not (min(support) >= 1 and max(support) <= n):
@@ -212,7 +227,7 @@ def wavelet_chain(t: Permutation | CycleForm, n: int | None = None) -> Chain:
     its coefficients are +-1 on words ranking supp(t).
 
     The identity is rejected: it indexes the constant function, not a
-    chain.  So is a support outside 1..n.
+    chain.  So is a support outside 1..n, or of more than MAX_N items.
     """
     form = t if isinstance(t, CycleForm) else standard_cycle_form(t)
     if n is None:
@@ -223,9 +238,10 @@ def wavelet_chain(t: Permutation | CycleForm, n: int | None = None) -> Chain:
     key = (n, form.cycles)
     cached = _chain_cache.get(key)
     if cached is None:
-        terms = {
-            Word._make(tuple(map(ord, word)), n): sign for word, sign in chain_terms(form.cycles)
-        }
+        rows, signs = _form_column(form)
+        support = np.array(sorted(form.support()))
+        words = support[_rankings(len(support))[rows] - 1].tolist()
+        terms = {Word._make(tuple(w), n): s for w, s in zip(words, signs.tolist())}
         cached = _chain_cache[key] = Chain._make(terms, n)
     return cached
 

@@ -1,5 +1,6 @@
 """Basis assembly, analysis/synthesis, marginal-domain decomposition, dezoom."""
 
+import hashlib
 import json
 import random
 import time
@@ -42,7 +43,7 @@ from rankmra import wavelets as wavelets_module
 from rankmra.marginals import all_words
 from rankmra.mra import (
     SolverError,
-    _chain_column,
+    _Level,
     _marginal_system,
     _solve_design,
     basis_keys,
@@ -187,6 +188,29 @@ def test_decompose_synthesizes_each_level_once(basis_for, monkeypatch):
     )
     decompose(random_chain(5, random.Random(5)), basis)
     assert calls == basis.lu().levels and len(calls) == 4
+
+
+# sha256 of X_k's indptr, indices and data bytes, each after its dtype, for
+# _Level(7, k), k = 2..7: a change in the order of X_k's terms changes them
+ENGINE_X_DIGESTS = {
+    2: "932827698d29b92ac6875d578d616146f3ef926ee057fafa1f1387fe70966bf8",
+    3: "bf09a5bc5ad8f8d4e8a19f744966f7690ef2f4716d760b2795de5dc3f9812564",
+    4: "e64b4f00ed30c45d15c9ccaee8afc471b60d325b93c1d361d57c99c09eac27dc",
+    5: "41f8875b90177d1d1efbbdf4d00c0791452203ac6536b4ec4120c9825e14f82a",
+    6: "ff30f1b9a4e924f048ac11655ab878226bce0a9d61d7930c39a137dd7f3de470",
+    7: "f218fa8b950921f9d17fde2e04287d8352371c4f85868d421d3d2411384f3309",
+}
+
+
+def test_engine_chain_matrices_keep_their_bytes():
+    for k, digest in ENGINE_X_DIGESTS.items():
+        x = _Level(7, k).x
+        assert (x.indptr.dtype, x.indices.dtype, x.data.dtype) == (np.int32, np.int32, np.float64)
+        h = hashlib.sha256()
+        for a in (x.indptr, x.indices, x.data):
+            h.update(a.dtype.str.encode())
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest, k
 
 
 def test_full_analysis_at_n7_builds_no_dense_matrix():
@@ -654,16 +678,18 @@ def test_decompose_refuses_chain_of_another_n(basis_for):
         decompose(Chain.zero(3), basis_for(4))
 
 
-def test_marginal_of_an_eight_item_support_reads_one_chain():
-    # one key whose support has 8 items needs its own chain, not all of X_8
-    c = CoefficientVector({"id": 1 / factorial(8), "(1 2 3 4 5 6 7 8)": 1e-6}, 8)
-    _chain_column.cache_clear()
-    got = synthesize_marginals(c, [range(1, 9)])
-    # the one column read is the 8-cycle's: reading it again is a hit
-    _chain_column(((1, 2, 3, 4, 5, 6, 7, 8),))
-    info = _chain_column.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-    assert got[frozenset(range(1, 9))] == _chain_sum_marginal(c, range(1, 9))
+def test_marginals_of_eight_item_supports_build_x8_once():
+    # the first key whose support has 8 items builds all of X_8, once;
+    # a second such key reads its column from the same table
+    level_matrix = wavelets_module.level_matrix
+    level_matrix.cache_clear()
+    one = CoefficientVector({"id": 1 / factorial(8), "(1 2 3 4 5 6 7 8)": 1e-6}, 8)
+    synthesize_marginals(one, [range(1, 9)])
+    misses = level_matrix.cache_info().misses
+    two = CoefficientVector({**one.coeffs, "(1 5)(2 8 3)(4 7 6)": -2e-6}, 8)
+    got = synthesize_marginals(two, [range(1, 9)])
+    assert level_matrix.cache_info().misses == misses == 1
+    assert got[frozenset(range(1, 9))] == _chain_sum_marginal(two, range(1, 9))
 
 
 def test_marginals_with_labels_above_9():
@@ -768,8 +794,9 @@ def test_decompose_marginals_reports_a_rank_shortfall(key, monkeypatch):
 
 
 def test_design_path_reads_each_chain_once(monkeypatch):
-    # each relabelled form's chain is computed once, however many design
-    # subsets hold its support and whether it is assembled or synthesized
+    # each support size's chains are built once, as one level table, however
+    # many design subsets hold a support and whether it is assembled or
+    # synthesized
     n = 8
     design = ObservationDesign(BENCH_TEMPLATE, n)
     fam = MarginalFamily(
@@ -777,14 +804,14 @@ def test_design_path_reads_each_chain_once(monkeypatch):
         design,
     )
     calls = []
-    chain_terms = mra_module.chain_terms
+    level_chains = wavelets_module.level_chains
     monkeypatch.setattr(
-        mra_module, "chain_terms", lambda *args: calls.append(args) or chain_terms(*args)
+        wavelets_module, "level_chains", lambda k: calls.append(k) or level_chains(k)
     )
-    _chain_column.cache_clear()
+    wavelets_module.level_matrix.cache_clear()
     c = decompose_marginals(fam)
     assert marginal_residual(fam, c) < 1e-12
-    assert len(calls) <= sum(len(derangements(range(1, k + 1), k)) for k in range(2, 7)) == 321
+    assert sorted(calls) == [2, 3, 4, 5, 6]
 
 
 def test_full_analysis_takes_the_mean_of_a_finite_f_whose_sum_overflows(basis_for):

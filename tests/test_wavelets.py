@@ -31,7 +31,7 @@ from rankmra import (
 from rankmra import wavelets as wavelets_module
 from rankmra.marginals import all_words
 from rankmra.perms import derangement_forms, derangement_number, standard_cycle_form
-from rankmra.wavelets import _cycle_chain, chain_terms, level_chains
+from rankmra.wavelets import MAX_N, _cycle_chain, level_chains, level_matrix
 from rankmra.words import concat, format_chain, parse_chain
 
 
@@ -98,38 +98,82 @@ def test_closed_form_matches_star_elimination_random_n8(images):
 
 
 def level_terms(k: int):
-    """level_chains(k) form by form: each form with a function that gives
-    its chain's terms, encoded as in chain_terms."""
+    """level_chains(k) form by form: each form with its chain's words, as
+    tuples, and their signs."""
     for forms, words, signs in level_chains(k):
         start = 0
         for tau in forms:
             stop = start + (1 << (k - tau.cycle_count()))
-            yield tau, lambda x=words[start:stop], s=signs[start:stop]: [
-                ("".join(map(chr, w)), c) for w, c in zip(x.tolist(), s.tolist())
-            ]
+            yield tau, list(map(tuple, words[start:stop].tolist())), signs[start:stop].tolist()
             start = stop
         assert start == len(words) == len(signs)
 
 
-def test_level_chains_match_chain_terms():
+def star_elimination_terms(tau: CycleForm, k: int) -> tuple[list, list]:
+    """The oracle chain of tau on 1..k: its words, as tuples, in
+    lexicographic order, and their signs."""
+    expected = star_elimination_chain(tau, k)
+    words = sorted(expected.terms)
+    return [w.letters for w in words], [expected.terms[w] for w in words]
+
+
+def test_level_chains_match_star_elimination():
     # every derangement form of 1..k for k <= 7, in derangement_forms order
     for k in range(2, 8):
         got = list(level_terms(k))
-        assert [tau for tau, _ in got] == derangement_forms(range(1, k + 1))
-        for tau, terms in got:
-            assert terms() == chain_terms(tau.cycles), str(tau)
+        assert [tau for tau, _, _ in got] == derangement_forms(range(1, k + 1))
+        for tau, words, signs in got:
+            assert (words, signs) == star_elimination_terms(tau, k), str(tau)
 
 
-def test_level_chains_match_chain_terms_on_every_cycle_type_at_k8():
+def test_level_chains_match_star_elimination_on_every_cycle_type_at_k8():
     types = set()
-    for i, (tau, terms) in enumerate(level_terms(8)):
+    for i, (tau, words, signs) in enumerate(level_terms(8)):
         cycle_type = tuple(map(len, tau.cycles))
         if cycle_type not in types or i % 97 == 0:
             types.add(cycle_type)
-            assert terms() == chain_terms(tau.cycles), str(tau)
+            assert (words, signs) == star_elimination_terms(tau, 8), str(tau)
     # the cycle lengths in standard order: the 13 compositions of 8 into
     # parts of at least 2
     assert len(types) == 13
+
+
+def test_level_matrix_columns_are_the_oracle_chains():
+    # each column: the lexicographic ranks of the oracle chain's words among
+    # the rankings of 1..k, and their signs
+    for k in range(2, 7):
+        column, indptr, rows, signs = level_matrix(k)
+        assert (rows.dtype, signs.dtype) == (np.int32, np.int8)
+        assert not any(a.flags.writeable for a in (indptr, rows, signs))
+        forms = derangement_forms(range(1, k + 1))
+        assert list(column) == [tau.cycles for tau in forms]
+        assert list(column.values()) == list(range(len(forms)))
+        assert indptr[0] == 0 and indptr[-1] == len(rows) == len(signs)
+        rank = {p: i for i, p in enumerate(permutations(range(1, k + 1)))}
+        for j, tau in enumerate(forms):
+            words, expected = star_elimination_terms(tau, k)
+            assert rows[indptr[j] : indptr[j + 1]].tolist() == [rank[w] for w in words], str(tau)
+            assert signs[indptr[j] : indptr[j + 1]].tolist() == expected, str(tau)
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1, MAX_N + 1])
+def test_chain_levels_outside_2_to_max_n_are_refused_before_any_form(k, monkeypatch):
+    def listed(items):
+        raise AssertionError(f"derangement forms of {list(items)} were listed")
+
+    monkeypatch.setattr(wavelets_module, "derangement_forms", listed)
+    with pytest.raises(ValueError, match="MAX_N"):
+        level_chains(k)
+    with pytest.raises(ValueError, match="MAX_N"):
+        level_matrix(k)
+
+
+def test_wavelet_chain_refuses_a_support_of_more_than_max_n_items():
+    cycle = tuple(range(1, MAX_N + 2))
+    with pytest.raises(ValueError, match="MAX_N"):
+        wavelet_chain(CycleForm((cycle,)), MAX_N + 1)
+    with pytest.raises(ValueError, match="MAX_N"):
+        wavelet_chain(CycleForm(((1, 2), tuple(range(3, MAX_N + 2)))), MAX_N + 1)
 
 
 def test_level_chains_do_not_depend_on_the_chunk(monkeypatch):
