@@ -95,7 +95,7 @@ def distinct_subsets(subsets: Iterable[list[int]]) -> list[frozenset[int]]:
 class ObservationDesign:
     """A collection of item subsets (each of size >= 2) within 1..n."""
 
-    __slots__ = ("n", "subsets")
+    __slots__ = ("n", "subsets", "_members")
 
     def __init__(self, subsets: Iterable[Iterable[int]], n: int):
         normalized = []
@@ -109,10 +109,11 @@ class ObservationDesign:
         if not normalized:
             raise ValueError("design must contain at least one subset")
         self.n = n
-        self.subsets = tuple(sorted(set(normalized), key=lambda s: (len(s), sorted(s))))
+        self._members = frozenset(normalized)
+        self.subsets = tuple(sorted(self._members, key=lambda s: (len(s), sorted(s))))
 
     def __contains__(self, s) -> bool:
-        return frozenset(s) in set(self.subsets)
+        return frozenset(s) in self._members
 
     def __iter__(self):
         return iter(self.subsets)

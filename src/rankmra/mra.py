@@ -10,14 +10,14 @@ So one Cholesky factor of G_k = X_k^T X_k per support size k solves the
 coefficients of all C(n, k) subsets of that size at once.  The normal
 equations are safe here: cond(X_7) = 233, so cond(G_7) is about 5e4,
 and the residual of every solve is still checked against the 1e-9 gate.
+Synthesis reads X_k and the ranking index only, so it runs at n = 8:
+the Gram matrices and their factors are analysis's, which refuses n = 8.
 The dense basis matrix is built only as a test oracle and for `verify`.
 
-One ranking index serves the engine, the dense basis matrix, the design
-system and marginal synthesis: X_k, from the level table of
-`wavelets.level_matrix`, and for the rankings of 1..m the rank of their
-restriction to each k-subset and whether that subset stands together in
-them.  A marginal of psi_tau is X_k's column of tau read at those ranks,
-where supp tau is contiguous.
+One ranking index per (m, k), _level_index, serves the engine, the dense
+basis matrix, the design system and marginal synthesis.  A marginal of
+psi_tau is X_k's column of tau (`wavelets.level_matrix`) read at the
+ranks of the rankings in which supp tau stands together.
 
 Marginal-domain analysis assembles its system from closed-form wavelet
 marginals only, so it never materializes the full ranking space.  By
@@ -32,8 +32,8 @@ result is the least-squares solution of the whole system, and no step
 forms normal equations: the system is not well conditioned (about 7e4 on
 the design above), and squaring that to about 5e9 would come too close to
 the 1e-9 agreement the coefficients are held to.  QR and SVD keep the
-error near cond * eps.  Only numpy is needed; scipy is imported by full
-analysis alone.
+error near cond * eps.  Only numpy is needed; scipy.sparse is imported by
+full synthesis and analysis, and scipy.linalg by full analysis alone.
 """
 
 from __future__ import annotations
@@ -116,7 +116,6 @@ class WaveletBasis:
         self._index = {key: i for i, key in enumerate(self.keys)}
         self.scales = np.array([form.length() for form in forms])  # support sizes
         self._matrix: np.ndarray | None = None
-        self._engine: _SubsetTriangular | None = None
 
     def __len__(self) -> int:
         return len(self.forms)
@@ -165,15 +164,31 @@ class WaveletBasis:
             self._matrix = _marginal_system(design, self.forms)
         return self._matrix
 
-    def lu(self) -> _SubsetTriangular:
-        """Factor now: the subset-triangular engine that full analysis and
-        synthesis use, built once per basis (one Cholesky factor per support
-        size; the name is older than the engine).  It never builds matrix().
-        At n = 8 the top block is refused, as its Gram matrix would exceed
-        MAX_DENSE_ENTRIES."""
-        if self._engine is None:
-            self._engine = _SubsetTriangular(self.n)
-        return self._engine
+    @cached_property
+    def levels(self) -> list[_Level]:
+        """The subset-triangular engine: one _Level per support size
+        k = 2..n, each with its span, and no factor until a solve asks."""
+        levels, start = [_Level(self.n, k) for k in range(2, self.n + 1)], 1
+        for level in levels:
+            level.span = slice(start, start + level.forms * level.subsets)
+            start = level.span.stop
+        return levels
+
+    def lu(self) -> WaveletBasis:
+        """Factor now: every level's Cholesky factor, as full analysis
+        solves (the name is older than the engine).  It never builds
+        matrix().  At n = 8 it refuses before any level is built, as the top
+        block's Gram matrix would exceed MAX_DENSE_ENTRIES."""
+        top = derangement_number(self.n)
+        if top * top > MAX_DENSE_ENTRIES:
+            raise ValueError(
+                f"full analysis at n = {self.n} solves a top block of {factorial(self.n)} rows "
+                f"and {top} columns, whose Gram matrix would exceed the "
+                f"{MAX_DENSE_ENTRIES} entries of the dense basis matrix at n = {LARGE_N}"
+            )
+        for level in self.levels:
+            level._normal
+        return self
 
 
 def build_basis(n: int) -> WaveletBasis:
@@ -273,11 +288,11 @@ class CoefficientVector:
 
 
 def _placements(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ranking index of the k-subsets of 1..m, subsets in combinations
-    order and rankings in lexicographic order.  rank[s, a]: the
-    lexicographic rank, among the k! words of its letters, of ranking s
-    restricted to subset a.  contiguous[s, a]: subset a stands together
-    in ranking s, the only places where its wavelets are nonzero."""
+    """Where the k-subsets of 1..m stand in its rankings, subsets in
+    combinations order and rankings in lexicographic order.  rank[s, a]
+    (uint16, as k! <= 8! < 2**16): the lexicographic rank, among the k!
+    words of its letters, of ranking s restricted to subset a.
+    contiguous[s, a]: subset a stands together in ranking s."""
     # place[s, a, i]: where the i-th smallest letter of subset a stands in
     # ranking s.  Letter by letter, so that temporaries stay place-sized,
     # rank adds (smaller letters after it) * (letters after it)!
@@ -289,7 +304,23 @@ def _placements(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         after = place > place[..., i, None]  # after[..., j]: j comes after i
         lehmer = after[..., :i].sum(axis=-1, dtype=np.int32)
         rank = rank + lehmer * fact[after.sum(axis=-1, dtype=np.int8)]
-    return rank, place.max(axis=-1) - place.min(axis=-1) == k - 1
+    return rank.astype(np.uint16), place.max(axis=-1) - place.min(axis=-1) == k - 1
+
+
+@lru_cache(maxsize=None)
+def _level_index(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[tuple[int, ...], int]]:
+    """_placements(m, k), once per process, read-only: (rank, ranking,
+    restricted, subset).  ranking[a]: the rankings in which subset a
+    stands together, the only places where its wavelets are nonzero, and
+    restricted[a] their ranks on a; a row each, as every k-subset stands
+    together in (m - k + 1)! k! rankings.  subset: each k-subset -> a."""
+    rank, contiguous = _placements(m, k)
+    held, ranking = np.nonzero(contiguous.T)  # subset-major
+    rows = rank.shape[1], -1
+    table = rank, ranking.reshape(rows), rank[ranking, held].reshape(rows)
+    for a in table:  # shared by every reader in the process
+        a.flags.writeable = False
+    return *table, {s: a for a, s in enumerate(combinations(range(m), k))}
 
 
 class _Level:
@@ -297,16 +328,13 @@ class _Level:
 
     x: X_k, sparse, from the triplets of level_matrix(k) in its
     column-major order, a column per form of derangement_forms(1..k).
-    factor: the Cholesky factor of X_k^T X_k, and cho_solve scipy's solver
-    for it.  span: the level's coefficients in basis order, subset by
-    subset, set by _SubsetTriangular.  From _placements(n, k):
-    marginal_slot, for each full ranking (row-major) and k-subset a, a * k!
-    plus the rank of the ranking's restriction to a; ranking, slot: the
-    pairs in which the subset is contiguous, where its wavelets are nonzero.
+    ranking, slot: from _level_index(n, k), the rankings in which subset a
+    stands together, and a * k! plus their rank on a.  span: the level's
+    coefficients in basis order, subset by subset, set by
+    WaveletBasis.levels.  Synthesis reads these; solve also reads _normal.
     """
 
     def __init__(self, n: int, k: int):
-        import scipy.linalg  # only full analysis pays for scipy's import
         import scipy.sparse
 
         self.scale = factorial(n - k + 1)
@@ -316,27 +344,34 @@ class _Level:
         self.x = scipy.sparse.csr_array(
             (signs.astype(float), (rows, cols)), shape=(factorial(k), self.forms)
         )
-        self.factor = scipy.linalg.cho_factor((self.x.T @ self.x).toarray())
-        self.cho_solve = scipy.linalg.cho_solve
-        rank, contiguous = _placements(n, k)
-        self.size, self.subsets = rank.shape
-        slot = rank + np.arange(self.subsets) * factorial(k)
-        self.marginal_slot = slot.ravel()
-        self.ranking, subset = np.nonzero(contiguous)
-        self.slot = slot[self.ranking, subset]
+        self.rank, ranking, restricted, _ = _level_index(n, k)
+        self.size, self.subsets = self.rank.shape
+        self.ranking = ranking.ravel()
+        self.slot = (restricted + np.arange(self.subsets)[:, None] * factorial(k)).ravel()
+
+    @cached_property
+    def _normal(self):
+        """marginal_slot, a * k! plus each full ranking's rank on subset a
+        (row-major); the Cholesky factor of X_k^T X_k; scipy's cho_solve."""
+        import scipy.linalg  # only full analysis pays for its import
+
+        marginal_slot = (self.rank + np.arange(self.subsets) * self.x.shape[0]).ravel()
+        factor = scipy.linalg.cho_factor((self.x.T @ self.x).toarray())
+        return marginal_slot, factor, scipy.linalg.cho_solve
 
     def solve(self, rest: np.ndarray) -> np.ndarray:
         """Coefficients (forms x subsets) whose marginals on the k-subsets
         are those of rest."""
+        marginal_slot, factor, cho_solve = self._normal
         marginals = np.bincount(
-            self.marginal_slot,
+            marginal_slot,
             weights=np.repeat(rest, self.subsets),
             minlength=self.subsets * self.x.shape[0],
         )
         rhs = self.x.T @ marginals.reshape(self.subsets, -1).T
         # the factor was checked once by cho_factor; a non-finite result
         # still fails the residual gate of _analyze
-        return self.cho_solve(self.factor, rhs / self.scale, check_finite=False)
+        return cho_solve(factor, rhs / self.scale, check_finite=False)
 
     def synthesize(self, block: np.ndarray) -> np.ndarray:
         """The function on the full rankings of the coefficients in block."""
@@ -344,64 +379,31 @@ class _Level:
         return np.bincount(self.ranking, weights=values[self.slot], minlength=self.size)
 
 
-class _SubsetTriangular:
-    """Full analysis and synthesis in basis order, level by level: the
-    constant, then one _Level per support size k = 2..n."""
-
-    def __init__(self, n: int):
-        top = derangement_number(n)
-        if top * top > MAX_DENSE_ENTRIES:
-            raise ValueError(
-                f"full analysis at n = {n} solves a top block of {factorial(n)} rows "
-                f"and {top} columns, whose Gram matrix would exceed the "
-                f"{MAX_DENSE_ENTRIES} entries of the dense basis matrix at n = {LARGE_N}"
-            )
-        self.size = factorial(n)
-        self.levels = [_Level(n, k) for k in range(2, n + 1)]
-        start = 1
-        for level in self.levels:
-            level.span = slice(start, start + level.forms * level.subsets)
-            start = level.span.stop
-
-    def analyze(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The coefficients of f (on the lexicographic full rankings), and
-        what their synthesis leaves of f: each level is subtracted as it is
-        solved, the top one too."""
-        coeffs = np.empty(self.size)
-        with np.errstate(over="ignore"):
-            total = f.sum()
-        if np.isinf(total) and np.isfinite(f).all():
-            # the sum of a finite f overflows: take the mean of f scaled by
-            # a power of two past sup|f|, which is exact
-            _, exponent = np.frexp(np.abs(f).max())
-            coeffs[0] = np.ldexp(np.ldexp(f, -exponent).sum() / self.size, exponent)
-        else:
-            coeffs[0] = total / self.size
-        rest = f - coeffs[0]
-        for level in self.levels:
-            block = level.solve(rest)
-            coeffs[level.span] = block.T.ravel()
-            rest -= level.synthesize(block)
-        return coeffs, rest
-
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """The function, on the lexicographic full rankings, of coeffs."""
-        values = np.full(self.size, coeffs[0])
-        for level in self.levels:
-            block = coeffs[level.span].reshape(level.subsets, level.forms).T
-            if block.any():  # dezoom zeroes the levels above its scale
-                values += level.synthesize(block)
-        return values
-
-
 def _analyze(f: Chain, basis: WaveletBasis, allow_large: bool) -> np.ndarray:
-    """The coefficients of f in basis order, as decompose solves for them."""
+    """The coefficients of f in basis order, as decompose solves for them:
+    the mean, then each level, subtracted as it is solved, the top one
+    too; what they leave of f is the residual gated."""
     if basis.n >= LARGE_N and not allow_large:
         raise ValueError(
             f"full decomposition at n = {basis.n} needs allow_large=True"
         )
     vec = basis.chain_to_vector(f)
-    coeffs, rest = basis.lu().analyze(vec)
+    basis.lu()
+    coeffs = np.empty(len(vec))
+    with np.errstate(over="ignore"):
+        total = vec.sum()
+    if np.isinf(total) and np.isfinite(vec).all():
+        # the sum of a finite f overflows: take the mean of f scaled by
+        # a power of two past sup|f|, which is exact
+        _, exponent = np.frexp(np.abs(vec).max())
+        coeffs[0] = np.ldexp(np.ldexp(vec, -exponent).sum() / len(vec), exponent)
+    else:
+        coeffs[0] = total / len(vec)
+    rest = vec - coeffs[0]
+    for level in basis.levels:
+        block = level.solve(rest)
+        coeffs[level.span] = block.T.ravel()
+        rest -= level.synthesize(block)
     residual = float(np.max(np.abs(rest)))
     bound = RESIDUAL_REL_TOL * float(np.max(np.abs(vec)))
     if not residual <= bound:
@@ -414,9 +416,12 @@ def _analyze(f: Chain, basis: WaveletBasis, allow_large: bool) -> np.ndarray:
 
 def _evaluate(coeffs: np.ndarray, basis: WaveletBasis) -> Chain:
     """The chain with the given coefficients in basis order."""
-    engine = basis.lu()
+    values = np.full(len(basis), coeffs[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        values = engine.synthesize(coeffs)
+        for level in basis.levels:
+            block = coeffs[level.span].reshape(level.subsets, level.forms).T
+            if block.any():  # dezoom zeroes the levels above its scale
+                values += level.synthesize(block)
     if not np.isfinite(values).all():
         raise ValueError("the coefficients synthesize to values beyond the float range")
     return basis.vector_to_chain(values)
@@ -441,7 +446,7 @@ def decompose(f: Chain, basis: WaveletBasis, allow_large: bool = False) -> Coeff
 
 
 def synthesize(c: CoefficientVector, basis: WaveletBasis) -> Chain:
-    """The chain with the given wavelet coefficients."""
+    """The chain with the given wavelet coefficients; no factor is built."""
     if c.n != basis.n:
         raise ValueError(f"coefficients are for n = {c.n}, the basis for n = {basis.n}")
     rows = [basis._index.get(key, -1) for key in c.coeffs]
@@ -524,17 +529,6 @@ def check_listable(items: frozenset[int]) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def _contiguous_ranks(m: int, k: int) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
-    """_placements(m, k) by subset: each k-subset of range(m) -> the
-    rankings in which it stands together, and their restrictions' ranks."""
-    rank, contiguous = _placements(m, k)
-    return {
-        subset: (np.flatnonzero(contiguous[:, a]), rank[contiguous[:, a], a])
-        for a, subset in enumerate(combinations(range(m), k))
-    }
-
-
 def _marginal_terms(form: CycleForm, items: frozenset[int], n: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The closed-form marginal of psi_form on the rankings of items, which
     hold its support, as marginal_wavelet gives it: rows (lexicographic),
@@ -548,7 +542,8 @@ def _marginal_terms(form: CycleForm, items: frozenset[int], n: int) -> tuple[np.
     k = len(support)
     scale = factorial(n - k + 1) // factorial(m - k + 1)
     letters = tuple(i for i, b in enumerate(sorted(items)) if b in support)
-    placed, ranks = _contiguous_ranks(m, k)[letters]
+    _, ranking, restricted, subset = _level_index(m, k)
+    placed, ranks = ranking[subset[letters]], restricted[subset[letters]]
     rows, signs = _form_column(form)
     x = np.zeros(factorial(k), dtype=np.int32)
     x[rows] = signs

@@ -38,7 +38,9 @@ from rankmra import (
 from rankmra import mra as mra_module
 from rankmra import wavelets as wavelets_module
 from rankmra.cli import main
+from rankmra.marginals import all_words
 from rankmra.mra import check_marginal_system
+from rankmra.perms import derangement_forms
 
 GOLDEN = Path(__file__).parent / "golden" / "s4_basis.txt"
 
@@ -582,17 +584,82 @@ def test_synth_exit_code_contract(well_formed, arbitrary):
         assert err.getvalue().startswith("rankmra: ")
 
 
-def test_full_analysis_at_n8_exits_2(tmp_path, capsys):
+def test_synthesis_at_n8_runs_behind_allow_large_n(tmp_path, capsys):
+    # synthesis reads X_k and the ranking index only, so n = 8 is allowed;
+    # without the flag the refusal names it
     path = tmp_path / "coeffs.json"
     path.write_text(json.dumps({"n": 8, "coefficients": [{"tau": "id", "value": 1 / 40320}]}))
     design = write_design(tmp_path, [[1, 2]], 8)
     for argv in (
-        ("synth", "--input", str(path), "--allow-large-n"),
-        ("sample", "--design", design, "--input", str(path), "--allow-large-n"),
+        ("synth", "--input", str(path)),
+        ("sample", "--design", design, "--input", str(path), "--count", "5"),
     ):
         code, out, err = run(capsys, *argv)
-        assert code == 2, argv
-        assert "40320 rows" in err and "Traceback" not in err and out == ""
+        assert (code, out) == (2, ""), argv
+        assert err == "rankmra: synthesizing at n = 8 needs --allow-large-n\n"
+        code, out, err = run(capsys, *argv, "--allow-large-n")
+        assert (code, err) == (0, ""), argv
+        rows = list(csv.reader(out.splitlines()))
+        if argv[0] == "synth":
+            assert rows[0] == ["word", "value"] and len(rows) == 40321
+            assert {value for _, value in rows[1:]} == {repr(1 / 40320)}
+        else:
+            assert len(rows) == 5 and all(sorted(map(int, r)) == [1, 2] for r in rows)
+
+
+def test_synth_at_n8_equals_the_wavelet_sum(tmp_path, capsys):
+    # the constant and one form per support size, on seeded supports
+    rng = random.Random(8)
+    coeffs = {"id": 1.0}
+    for k in range(2, 9):
+        forms = derangement_forms(sorted(rng.sample(range(1, 9), k)))
+        coeffs[str(rng.choice(forms))] = rng.uniform(-1, 1)
+    path = tmp_path / "coeffs.json"
+    CoefficientVector(coeffs, 8).save(str(path))
+    code, out, err = run(capsys, "synth", "--input", str(path), "--allow-large-n")
+    assert (code, err) == (0, "")
+    got = {word: float(value) for word, value in list(csv.reader(out.splitlines()))[1:]}
+    oracle = Chain.zero(8)
+    for key, value in coeffs.items():
+        oracle = oracle + wavelet(CycleForm.parse(key), 8) * value
+    sup = oracle.norm_inf()
+    assert len(got) == 40320
+    assert max(abs(got[str(w)] - oracle(w)) for w in all_words(range(1, 9), 8)) <= 1e-12 * sup
+
+
+SYNTH_COST = """
+import os
+import resource
+import sys
+
+from rankmra.cli import main
+
+assert main(["synth", "--input", sys.argv[1], "--allow-large-n", "--output", os.devnull]) == 0
+assert "scipy.linalg" not in sys.modules
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)  # kilobytes on Linux
+"""
+
+
+def test_synth_at_n8_cost_is_bounded(tmp_path):
+    # a coefficient on every one of the 40 320 basis keys, in a fresh
+    # interpreter.  Measured on a 2-core x86-64 VM (Python 3.11, numpy 2.4,
+    # scipy 1.17), five runs: 2.4-2.7 s of wall time, import included, and
+    # 199.8-199.9 MB peak RSS.  The bounds leave about 4x and 20 % of margin
+    rng = random.Random(8)
+    path = tmp_path / "coeffs.json"
+    keys = mra_module.basis_keys(8)
+    CoefficientVector({key: rng.uniform(-1, 1) for key in keys}, 8).save(str(path))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-c", SYNTH_COST, str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    wall = time.perf_counter() - start
+    assert result.returncode == 0, result.stderr
+    assert wall < 10.0
+    assert int(result.stdout) / 1024 < 240
 
 
 def test_decompose_refuses_oversized_design(tmp_path, capsys):
@@ -871,6 +938,8 @@ import os
 import sys
 
 import rankmra.cli
+import rankmra.mra
+from rankmra.marginals import uniform_distribution
 
 design, data, coeffs = sys.argv[1:]
 quiet = ["--output", os.devnull]
@@ -880,10 +949,12 @@ for argv in (
     ["verify", "--n", "4"],
     ["marginal", "--n", "4", "--uniform", "--subset", "1,2,3"],
     ["decompose", "--input", data, "--design", design],
+    ["synth", "--input", coeffs],
+    ["sample", "--design", design, "--input", coeffs],
 ):
     assert rankmra.cli.main(argv + quiet) == 0, argv
     assert "scipy.linalg" not in sys.modules, argv
-assert rankmra.cli.main(["synth", "--input", coeffs] + quiet) == 0
+rankmra.mra.decompose(uniform_distribution(3), rankmra.mra.build_basis(3))
 assert "scipy.linalg" in sys.modules  # full analysis still factors with it
 print("ok")
 """
@@ -898,10 +969,10 @@ def _tiny_design_dataset(tmp_path) -> tuple[str, str]:
 
 def test_commands_that_never_factor_leave_scipy_unloaded(tmp_path):
     # a fresh interpreter: scipy.linalg costs about 0.2 s of start-up, which
-    # only full analysis (synth, sample --input) needs
+    # only full analysis (decompose and dezoom of a full function) needs
     design, data = _tiny_design_dataset(tmp_path)
     coeffs = tmp_path / "coeffs.json"
-    CoefficientVector({"id": 1 / 24, "(1 2)": 0.01}, 4).save(str(coeffs))
+    CoefficientVector({"id": 1 / 6, "(1 2)": 0.01}, 3).save(str(coeffs))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(

@@ -1,6 +1,7 @@
 """Marginal operators, extension sets, projectivity, empirical estimation."""
 
 import random
+import time
 from itertools import combinations, permutations
 from math import factorial
 
@@ -194,6 +195,20 @@ def test_design_holders_walk_each_member_once():
         for c in combinations(sorted(s), k)
     }
     assert set(design.closure()) == brute == set(holders) - {frozenset()}
+
+
+def test_design_membership_does_not_rebuild_the_design():
+    # 3 000 draws of three items from 1..60: a lookup that rebuilt a set of
+    # the members took about 0.1 ms each, so a family over them cost O(S^2)
+    rng = random.Random(0)
+    subsets = {frozenset(rng.sample(range(1, 61), 3)) for _ in range(3000)}
+    design = ObservationDesign(subsets, 60)
+    probes = [rng.choice(design.subsets) for _ in range(10000)]
+    probes += [frozenset(rng.sample(range(1, 61), 3)) for _ in range(10000)]
+    start = time.perf_counter()
+    found = sum(s in design for s in probes)
+    assert time.perf_counter() - start < 0.5
+    assert found == 10000 + sum(s in subsets for s in probes[10000:])
 
 
 def test_check_projective_exact_family():

@@ -167,6 +167,23 @@ def _against_dense_oracle(basis, f: Chain, c: np.ndarray) -> None:
         assert np.max(np.abs(zoomed - mat @ kept)) <= 1e-10 * np.max(np.abs(vec))
 
 
+def test_synthesis_at_n8_leaves_full_analysis_refused_at_once():
+    # the Gram guard runs before any level is built, also once a synthesis
+    # has built the levels without their factors
+    basis = build_basis(8)
+    f = Chain.dirac(Word(tuple(range(1, 9)), 8))
+    for synthesized in (False, True):
+        if synthesized:
+            g = synthesize(CoefficientVector({"id": 1.0, "(2 7)": 0.5}, 8), basis)
+            # psi_(2 7) is +1 where 2 stands just before 7
+            assert g(Word((1, 2, 7, 3, 4, 5, 6, 8), 8)) == 1.5
+        for analysis in (decompose, lambda f, basis, allow_large: dezoom(f, 3, basis, allow_large)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="40320 rows"):
+                analysis(f, basis, allow_large=True)
+            assert time.perf_counter() - start < 1.0, synthesized
+
+
 def test_subset_triangular_engine_matches_dense_oracle(basis_for):
     rng = random.Random(21)
     for n in range(3, 7):
