@@ -42,7 +42,7 @@ from .mra import (
     check_listable,
     check_marginal_system,
     check_scale,
-    decompose_marginals,
+    _decompose_checked,
     _marginal_terms,
     marginal_residual,
     synthesize,
@@ -234,10 +234,12 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     print(report, file=sys.stderr)
     if not report.passed:
         return EXIT_PROJECTIVITY
-    coeffs = decompose_marginals(fam, projectivity_tol=tolerance)
+    # the system is sized and the family projective: solve without
+    # checking either again
+    coeffs = _decompose_checked(fam)
     residual = marginal_residual(fam, coeffs)
     print(f"fit residual (sup norm): {residual:.6g}", file=sys.stderr)
-    if residual > tolerance:
+    if not residual <= tolerance:  # a NaN residual fails too
         raise SolverError(f"residual {residual:.6g} exceeds tolerance {tolerance:.6g}")
     return _write_lines(args.output, (json.dumps(coeffs.to_json(), indent=2) + "\n",))
 

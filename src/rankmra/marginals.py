@@ -271,20 +271,25 @@ def empirical_marginals(
     Repeated (subset, word) records accumulate counts; normalization is per
     subset.  Records outside the design, content mismatches, and design
     subsets with no observations are all rejected.  Records are tallied
-    first and each distinct one is checked once, in first-seen order, so
-    the first bad record is the one reported.
+    first, as they are when they are hashable (read_rankings_csv's are
+    (frozenset, Word) pairs, shared by repeated lines), and each distinct
+    one is checked once, in first-seen order, so the first bad record is
+    the one reported.
     """
-    tally = Counter(
-        (s if isinstance(s, frozenset) else frozenset(s), w) for s, w in dataset
-    )
+    records = list(dataset)
+    try:
+        tally = Counter(records)
+    except TypeError:  # a subset given as a list or a set
+        tally = Counter((frozenset(s), w) for s, w in records)
     counts: dict[frozenset[int], dict[Word, int]] = {s: {} for s in design}
     for (subset, word), count in tally.items():
+        subset = subset if isinstance(subset, frozenset) else frozenset(subset)
         bucket = counts.get(subset)
         if bucket is None:
             raise ValueError(f"record subset {sorted(subset)} not in design")
         if content(word) != subset:
             raise ValueError(f"word {word} does not rank subset {sorted(subset)}")
-        bucket[word] = count
+        bucket[word] = bucket.get(word, 0) + count  # (1, 2) and (2, 1) are one subset
     per_subset = {}
     for subset, bucket in counts.items():
         total = sum(bucket.values())
@@ -297,26 +302,25 @@ def empirical_marginals(
 def read_rankings_csv(path: str, n: int) -> list[tuple[frozenset[int], Word]]:
     """One ranking per line as comma-separated item ids, best first.
 
-    Each distinct row is validated once; its repeats share the first
-    occurrence's (content, word) pair.  A bad row is reported at its first
-    line, which is the one validated.
+    A line ends at a newline, a CR LF pair or a lone CR, so a quoted field
+    does not span lines.  Each distinct line is parsed and validated once,
+    in first-seen order, so the first bad line is the one reported, by its
+    number; its repeats share its (content, word) pair.  Blank lines are
+    skipped.
     """
-    records = []
-    parsed: dict[tuple[str, ...], tuple[frozenset[int], Word]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            key = tuple(row)
-            record = parsed.get(key)
-            if record is None:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                try:
-                    word = Word(tuple(int(tok) for tok in row), n)
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from exc
-                record = parsed[key] = (content(word), word)
-            records.append(record)
-    return records
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    parsed = dict.fromkeys(lines)
+    for line in parsed:
+        row = next(csv.reader((line,)), [])
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        try:
+            word = Word(tuple(int(tok) for tok in row), n)
+        except ValueError as exc:
+            raise ValueError(f"line {lines.index(line) + 1}: {exc}") from exc
+        parsed[line] = (content(word), word)
+    return list(filter(None, map(parsed.__getitem__, lines)))
 
 
 def uniform_distribution(n: int) -> Chain:

@@ -19,21 +19,23 @@ basis matrix, the design system and marginal synthesis.  A marginal of
 psi_tau is X_k's column of tau (`wavelets.level_matrix`) read at the
 ranks of the rankings in which supp tau stands together.
 
-Marginal-domain analysis assembles its system from closed-form wavelet
-marginals only, so it never materializes the full ranking space.  By
-localization the system is block-angular: the rows of a design subset A
-touch only the forms whose support lies in A, and few of those are held by
-another subset too (41 of 1450 columns on a seven-subset design at n = 8).
-So it is solved one subset at a time: a Householder QR of A's block,
-private columns first, reduces it to a triangle for A's private
-coefficients and a few rows on the shared ones; the stacked rows are
-solved by an SVD least squares, and each triangle back-substitutes.  The
-result is the least-squares solution of the whole system, and no step
-forms normal equations: the system is not well conditioned (about 7e4 on
-the design above), and squaring that to about 5e9 would come too close to
-the 1e-9 agreement the coefficients are held to.  QR and SVD keep the
-error near cond * eps.  Only numpy is needed; scipy.sparse is imported by
-full synthesis and analysis, and scipy.linalg by full analysis alone.
+Marginal-domain analysis never assembles its system, nor the full
+ranking space.  By localization the system is block-angular: the rows of
+a design subset A touch only the forms whose support lies in A, and few
+of those are held by another subset too (41 of 1450 columns on a
+seven-subset design at n = 8).  By translation covariance A's block is
+B_m, the marginal system of {1..m} at n = m (m = |A|), with its columns
+relabelled and scaled; so one inverse of B_m per subset size, cached for
+the process, serves every block of that size.  Read through it, each
+block gives A's coefficients as if A stood alone, a few rows on the
+shared columns (R^-T of a thin QR of the inverse's rows there), and the
+private coefficients once the shared ones are known.  The stacked rows
+are solved by an SVD least squares.  The result is the least-squares
+solution of the whole system, and no step forms normal equations: the
+system is not well conditioned (about 7e4 on the design above), and
+squaring that to about 5e9 would come too close to the 1e-9 agreement the
+coefficients are held to.  Only numpy is needed; scipy.sparse is imported
+by full synthesis and analysis, and scipy.linalg by full analysis alone.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .perms import (
     scale_dimension,
 )
 from .wavelets import LARGE_N, MAX_DENSE_ENTRIES, MAX_N, _form_column, level_matrix, wavelet_chain
-from .words import FLOAT_PRUNE_TOL, Chain, Word, _accumulate, _pruned, delete
+from .words import FLOAT_PRUNE_TOL, Chain, Word, _pruned, delete
 
 RESIDUAL_REL_TOL = 1e-9
 
@@ -204,8 +206,9 @@ class CoefficientVector:
     """Expansion coefficients keyed by standard-cycle-form strings.
 
     Every key and value is validated on construction.  _make skips that
-    for coefficients the library itself solved: decompose alone calls it,
-    with the basis keys and the floats its residual gate has passed.
+    for coefficients the library itself solved: decompose calls it with
+    the basis keys and the floats its residual gate has passed, and
+    decompose_marginals with the design keys and finite floats.
     """
 
     coeffs: dict[str, float]
@@ -293,18 +296,25 @@ def _placements(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     (uint16, as k! <= 8! < 2**16): the lexicographic rank, among the k!
     words of its letters, of ranking s restricted to subset a.
     contiguous[s, a]: subset a stands together in ranking s."""
-    # place[s, a, i]: where the i-th smallest letter of subset a stands in
-    # ranking s.  Letter by letter, so that temporaries stay place-sized,
-    # rank adds (smaller letters after it) * (letters after it)!
-    positions = np.argsort(np.array(list(permutations(range(m)))), axis=1)
-    place = positions.astype(np.int8)[:, np.array(list(combinations(range(m), k)))]
-    fact = np.array([factorial(i) for i in range(k)], dtype=np.int32)
-    rank = 0
+    # place[i, s, a]: where the i-th smallest letter of subset a stands in
+    # ranking s.  rank adds, letter by letter, (smaller letters after it)
+    # * (letters after it)!, counted pair by pair, so that temporaries
+    # stay (rankings x subsets)-sized uint8 and uint16: every term is
+    # below k!
+    positions = np.argsort(np.array(list(permutations(range(m)))), axis=1).astype(np.int8)
+    place = np.ascontiguousarray(np.moveaxis(positions[:, np.array(list(combinations(range(m), k)))], -1, 0))
+    fact = np.array([factorial(i) for i in range(k)], dtype=np.uint16)
+    rank = np.zeros(place.shape[1:], dtype=np.uint16)
     for i in range(k):
-        after = place > place[..., i, None]  # after[..., j]: j comes after i
-        lehmer = after[..., :i].sum(axis=-1, dtype=np.int32)
-        rank = rank + lehmer * fact[after.sum(axis=-1, dtype=np.int8)]
-    return rank.astype(np.uint16), place.max(axis=-1) - place.min(axis=-1) == k - 1
+        smaller, after = np.zeros((2, *rank.shape), dtype=np.uint8)
+        for j in range(k):
+            if j != i:
+                later = place[j] > place[i]
+                after += later
+                if j < i:
+                    smaller += later
+        rank += smaller * fact[after]
+    return rank, place.max(axis=0) - place.min(axis=0) == k - 1
 
 
 @lru_cache(maxsize=None)
@@ -474,24 +484,26 @@ def design_keys(design: ObservationDesign) -> list[str]:
 
 def check_marginal_system(design: ObservationDesign) -> tuple[int, int, int]:
     """What _solve_design holds for a design, counted before it is built:
-    the entries of the design blocks' R factors, then the rows and columns
-    of the reduced system on the shared columns.
+    the entries of its template inverses, then the rows and columns of the
+    reduced system on the shared columns.
 
-    Design subset A's block is |A|! x |A|!, counted from the sizes alone
-    and first, as listing A's closure takes 2^|A| steps.  Each support S
-    held by h > 1 subsets brings D_|S| shared columns and h * D_|S| reduced
-    rows (D_k derangements of k items, D_0 = 1 for the identity), and the
+    Each subset size m brings one m! x m! template inverse (_template),
+    held for the rest of the process (at m = 7, 5040^2 floats, about
+    200 MB), counted from the sizes alone and first, as listing a subset's
+    closure takes 2^m steps.  Each support S held by
+    h > 1 subsets brings D_|S| shared columns and h * D_|S| reduced rows
+    (D_k derangements of k items, D_0 = 1 for the identity), and the
     right-hand side one more column.  Either count over MAX_DENSE_ENTRIES
     raises ValueError, as does a scale that overflows a float (check_scale).
     """
     check_scale(min(design, key=len), design.n)
     over = f"more than the {MAX_DENSE_ENTRIES} entries of the dense basis matrix at n = {LARGE_N}"
     sizes = [factorial(len(s)) for s in design]
-    entries = sum(size * size for size in sizes)
+    entries = sum(size * size for size in set(sizes))
     if entries > MAX_DENSE_ENTRIES:
         raise ValueError(
             f"the marginal system has {sum(sizes)} rows and at least {max(sizes)} columns, "
-            f"and the R factors of its design blocks hold {entries} entries, {over}"
+            f"and its template inverses, one per subset size, hold {entries} entries, {over}"
         )
     shared = [(len(s), len(held)) for s, held in design.holders().items() if len(held) > 1]
     rows = sum(held * derangement_number(k) for k, held in shared)
@@ -529,23 +541,52 @@ def check_listable(items: frozenset[int]) -> None:
         )
 
 
+@lru_cache(maxsize=None)
+def _marginal_scale(n: int, m: int, k: int) -> int:
+    """The integer scale of a wavelet's marginal on an m-subset holding its
+    support of k items (k = 0 for the identity): n!/m!, or (n - k + 1)!
+    over (m - k + 1)!."""
+    if k == 0:
+        return factorial(n) // factorial(m)
+    return factorial(n - k + 1) // factorial(m - k + 1)
+
+
+def _placement(support: frozenset[int], items: frozenset[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The rankings of items (lexicographic rows) in which support, of two
+    or more of them, stands together, and the rank of support's order
+    there among its own rankings: what the marginal of every wavelet on
+    support reads."""
+    letters = tuple(i for i, b in enumerate(sorted(items)) if b in support)
+    _, ranking, restricted, subset = _level_index(len(items), len(support))
+    return ranking[subset[letters]], restricted[subset[letters]]
+
+
+def _columns(forms: list[CycleForm]) -> np.ndarray:
+    """The columns of X_k of forms on one support of k items, relabelled
+    onto 1..k in the order of their labels (so they stay standard), as a
+    dense k! x len(forms) int8 array."""
+    label = {b: i for i, b in enumerate(sorted(forms[0].support()), 1)}
+    column, indptr, rows, signs = level_matrix(len(label))
+    at = [column[tuple(tuple(label[b] for b in c) for c in form.cycles)] for form in forms]
+    entries = np.concatenate([np.arange(indptr[j], indptr[j + 1]) for j in at])
+    x = np.zeros((factorial(len(label)), len(forms)), dtype=np.int8)
+    x[rows[entries], np.repeat(np.arange(len(forms)), np.diff(indptr)[at])] = signs[entries]
+    return x
+
+
 def _marginal_terms(form: CycleForm, items: frozenset[int], n: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The closed-form marginal of psi_form on the rankings of items, which
     hold its support, as marginal_wavelet gives it: rows (lexicographic),
     their signs, and the integer scale of them all.  Other than the
     constant, the rows are those where the support stands together."""
     m = len(items)
+    scale = _marginal_scale(n, m, form.length())
     if not form.cycles:
         rows = np.arange(factorial(m))
-        return rows, np.ones_like(rows), factorial(n) // factorial(m)
-    support = form.support()
-    k = len(support)
-    scale = factorial(n - k + 1) // factorial(m - k + 1)
-    letters = tuple(i for i, b in enumerate(sorted(items)) if b in support)
-    _, ranking, restricted, subset = _level_index(m, k)
-    placed, ranks = ranking[subset[letters]], restricted[subset[letters]]
+        return rows, np.ones_like(rows), scale
+    placed, ranks = _placement(form.support(), items)
     rows, signs = _form_column(form)
-    x = np.zeros(factorial(k), dtype=np.int32)
+    x = np.zeros(factorial(form.length()), dtype=np.int32)
     x[rows] = signs
     sign = x[ranks]
     return placed[sign != 0], sign[sign != 0], scale
@@ -556,11 +597,14 @@ def synthesize_marginals(c: CoefficientVector, subsets) -> dict[frozenset[int], 
 
     Sums the closed-form wavelet marginals key by key in coefficient order,
     with Chain's pruning rule, so each result equals the Chain sum of
-    value * marginal_wavelet(key, subset) over the coefficients.  The
-    coefficients are grouped by support once, and each subset visits only
-    the supports within it (a wavelet's marginal elsewhere is 0).  Every
-    subset is checked, and one of more than MAX_N items or whose scale
-    does not fit in a float refused, before any ranking is listed.
+    value * marginal_wavelet(key, subset) over the coefficients: a dense
+    running total per ranking, reset to 0 whenever it prunes.  Float
+    coefficients sum in a float array, any other (a Python int) exactly,
+    as the Chain sum does.  The coefficients are grouped by support once;
+    each subset visits only the supports within it (a wavelet's marginal
+    elsewhere is 0) and places each of them once.  Every subset is
+    checked, and one of more than MAX_N items or whose scale does not fit
+    in a float refused, before any ranking is listed.
     """
     subsets = [frozenset(subset) for subset in subsets]
     for items in subsets:
@@ -572,52 +616,116 @@ def synthesize_marginals(c: CoefficientVector, subsets) -> dict[frozenset[int], 
         check_listable(items)
         check_scale(items, c.n)
     forms, values = [_parse_key(key) for key in c.coeffs], list(c.coeffs.values())
+    dtype = float if all(isinstance(value, float) for value in values) else object
+    supports = [form.support() for form in forms]
     by_support: dict[frozenset[int], list[int]] = {}
-    for i, form in enumerate(forms):
-        by_support.setdefault(form.support(), []).append(i)
+    for i, support in enumerate(supports):
+        by_support.setdefault(support, []).append(i)
+    columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # each form's column of X_k
     out = {}
     for items in subsets:
-        acc: dict[int, float] = {}
+        acc = np.zeros(factorial(len(items)), dtype)
+        by_rank = {}  # each support's rankings where it stands together, by its rank there
         # the coefficients whose support lies in items, in coefficient order
         for i in sorted(i for s in supports_within(items) for i in by_support.get(s, ())):
-            rows, signs, scale = _marginal_terms(forms[i], items, c.n)
-            term = scale * values[i]
-            if _pruned(term):  # its terms are +-term, so they prune together
-                _accumulate(zip(rows.tolist(), [sign * term for sign in signs.tolist()]), acc)
-        words = all_words(items, c.n)
-        out[items] = Chain._make({words[row]: v for row, v in acc.items()}, c.n)
+            support = supports[i]
+            term = _marginal_scale(c.n, len(items), len(support)) * values[i]
+            if not _pruned(term):  # its terms are +-term, so they prune together
+                continue
+            if support:
+                if support not in by_rank:
+                    placed, ranks = _placement(support, items)
+                    by_rank[support] = placed[np.argsort(ranks)].reshape(factorial(len(support)), -1)
+                if i not in columns:
+                    columns[i] = _form_column(forms[i])
+                ranks, signs = columns[i]
+                rows = by_rank[support][ranks]
+                signs = np.repeat(signs.astype(dtype), rows.shape[1])
+                rows = rows.ravel()
+            else:
+                rows, signs = slice(None), 1
+            total = acc[rows] + signs * term
+            acc[rows] = np.where(np.abs(total) > FLOAT_PRUNE_TOL, total, 0)
+        words, kept = all_words(items, c.n), np.flatnonzero(acc)
+        out[items] = Chain._make(
+            {words[row]: v for row, v in zip(kept.tolist(), acc[kept].tolist())}, c.n
+        )
     return out
 
 
 def _marginal_system(design: ObservationDesign, forms: list[CycleForm]) -> np.ndarray:
     """The matrix of closed-form wavelet marginals: one column per form,
-    one row per ranking of each design subset, subsets in design order."""
-    mat = np.zeros((sum(factorial(len(items)) for items in design), len(forms)))
+    one row per ranking of each design subset, subsets in design order.
+    Filled a support at a time: where it stands together in a subset's
+    rankings is placed once, and every form on it is read there at once."""
+    sizes = [factorial(len(items)) for items in design]
+    offsets = np.cumsum([0] + sizes).tolist()
+    mat = np.zeros((offsets[-1], len(forms)))
+    by_support: dict[frozenset[int], list[int]] = {}
     for j, form in enumerate(forms):
-        support, offset = form.support(), 0
-        for items in design:
+        by_support.setdefault(form.support(), []).append(j)
+    for support, held in by_support.items():
+        if support:
+            x = _columns([forms[j] for j in held])
+        for items, offset, size in zip(design, offsets, sizes):
             if support <= items:
-                rows, signs, scale = _marginal_terms(form, items, design.n)
-                mat[offset + rows, j] = signs * float(scale)
-            offset += factorial(len(items))
+                scale = float(_marginal_scale(design.n, len(items), len(support)))
+                if support:
+                    placed, ranks = _placement(support, items)
+                    mat[offset + placed[:, None], held] = x[ranks] * scale
+                else:
+                    mat[offset : offset + size, held] = scale
     return mat
+
+
+@lru_cache(maxsize=None)
+def _template(m: int) -> tuple[dict[tuple, int], np.ndarray]:
+    """The inverse of B_m, the marginal system of the one-subset design
+    {1..m} at n = m, once per process, read-only: (column, inverse).
+    column maps each form of 1..m's cycles to its column of B_m.
+
+    B_m is square and invertible.  Its 1-norm condition number, which the
+    inverse gives at once, screens it; past the cutoff eps * m!, its
+    singular values judge, and a rank below m! raises SolverError.
+    """
+    forms = [CycleForm(())] + list(basis_forms(m))
+    b = _marginal_system(ObservationDesign([range(1, m + 1)], m), forms)
+    cutoff = np.finfo(float).eps * len(b)
+    try:
+        inverse = np.linalg.inv(b)
+        screened = np.abs(b).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max() * cutoff < 1
+    except np.linalg.LinAlgError:  # an exactly singular pivot
+        inverse, screened = None, False
+    if not screened:
+        values = np.linalg.svd(b, compute_uv=False)
+        rank = int(np.count_nonzero(values > cutoff * values[0]))
+        if inverse is None or rank < len(b):
+            raise SolverError(
+                f"the marginal system template of {m}-item subsets has rank {rank} "
+                f"below dimension {len(b)}"
+            )
+    inverse.flags.writeable = False  # shared by every design in the process
+    return {form.cycles: j for j, form in enumerate(forms)}, inverse
 
 
 def _solve_design(design: ObservationDesign, forms: list[CycleForm], rhs: np.ndarray) -> np.ndarray:
     """The least-squares solution of _marginal_system(design, forms) against
-    rhs (rows in design order), solved one design subset at a time.
+    rhs (rows in design order), solved one design subset at a time from
+    one template inverse per subset size.
 
-    Design subset A's rows touch only the forms whose support lies in A: its
-    private columns, held by A alone, and shared ones, held by another
-    subset too.  A QR factor R of A's block [private | shared | b_A] splits
-    A's misfit into its first p_A rows (p_A private columns), a triangle
-    that back-substitutes A's private coefficients once the shared ones are
-    known, and the rows below, A's part of the reduced problem on the shared
-    columns.  The stacked reduced rows are solved by SVD least squares.
-    The cutoff is eps * max(shape) of the whole system, relative to the
-    largest singular value of the reduced rows and to the largest diagonal
-    entry of each R; the rank is the reduced rank plus the private diagonal
-    entries above it, and a rank below the number of forms raises.
+    Design subset A (m items) has the block M_A = B_m[:, at] D: at maps A's
+    forms, relabelled onto 1..m by cycle form, to the columns of B_m
+    (_template), and D holds their marginal scales.  So M_A^-1 is D^-1
+    times the rows at of B_m^-1, and z_A = M_A^-1 b_A is A's coefficients
+    as if A stood alone.  A's columns are private, held by A alone, or
+    shared with another subset.  With the shared ones at s, A's least
+    misfit is |R^-T (s - z_S)|, where W_S^T = QR and W_S is M_A^-1's rows
+    on the shared columns; the private coefficients that reach it are
+    z_P - W_P Q R^-T (z_S - s).  The stacked rows R^-T (s - z_S) are solved
+    by SVD least squares, whose cutoff is eps * max(shape) of the whole
+    system, relative to their largest singular value.  The rank is the
+    number of private columns plus the reduced rank, and a rank below the
+    number of forms raises SolverError, as does a singular template.
     """
     cond = np.finfo(float).eps * max(len(rhs), len(forms))
     supports = [form.support() for form in forms]
@@ -628,21 +736,35 @@ def _solve_design(design: ObservationDesign, forms: list[CycleForm], rhs: np.nda
             columns[a].append(j)
     shared = [j for j, support in enumerate(supports) if len(holders[support]) > 1]
     reduced_column = {j: i for i, j in enumerate(shared)}
-    rank, reduced, triangles, offset = 0, [], [], 0
+    try:
+        templates = {m: _template(m) for m in sorted({len(items) for items in design})}
+    except SolverError as exc:
+        raise SolverError(f"{exc} for design {[sorted(s) for s in design]}") from None
+    rank, reduced, lifts, offset = 0, [], [], 0
     for items, held in zip(design, columns):
+        column, inverse = templates[len(items)]
+        label = {b: i for i, b in enumerate(sorted(items), 1)}
         private = [j for j in held if j not in reduced_column]
         mine = [j for j in held if j in reduced_column]
-        block = _marginal_system(ObservationDesign([items], design.n), [forms[j] for j in private + mine])
-        size = len(block)
-        r = np.linalg.qr(np.column_stack([block, rhs[offset:offset + size]]), mode="r")
-        offset += size
+        order = private + mine
+        at = np.array([column[tuple(tuple(label[b] for b in c) for c in forms[j].cycles)] for j in order])
+        scale = np.array([float(_marginal_scale(design.n, len(items), len(supports[j]))) for j in order])
+        # D z_A: A's coefficients as if it stood alone, in template units
+        z = (inverse @ rhs[offset : offset + len(order)])[at]
+        offset += len(order)
         p = len(private)
-        diagonal = np.abs(np.diagonal(r)[: block.shape[1]])
-        rank += int(np.count_nonzero(diagonal[:p] > cond * diagonal.max()))
-        part = np.zeros((len(r) - p, len(shared) + 1))  # last column: right-hand side
-        part[:, [reduced_column[j] for j in mine] + [-1]] = r[p:, p:]
-        reduced.append(part)
-        triangles.append((private, mine, r[:p]))
+        rank += p
+        lift = np.zeros((p, 0))
+        if mine:
+            # W_S^T is the template's rows at[p:], times D_S^-1; so with
+            # their QR, A's reduced rows are R^-T (D_S s - D_S z_S)
+            q, r = np.linalg.qr(inverse[at[p:]].T)
+            rows = np.linalg.inv(r).T
+            part = np.zeros((len(mine), len(shared) + 1))  # last column: right-hand side
+            part[:, [reduced_column[j] for j in mine] + [-1]] = np.column_stack((rows * scale[p:], rows @ z[p:]))
+            reduced.append(part)
+            lift = inverse[at[:p]] @ q @ rows  # D_P W_P Q R^-T D_S^-1
+        lifts.append((private, mine, z, scale, lift))
     coeffs = np.empty(len(forms))
     if shared:
         stacked = np.vstack(reduced)
@@ -653,10 +775,9 @@ def _solve_design(design: ObservationDesign, forms: list[CycleForm], rhs: np.nda
             f"marginal system rank {rank} below dimension {len(forms)} "
             f"for design {[sorted(s) for s in design]}"
         )
-    for private, mine, r in triangles:
-        if private:  # R is upper triangular, so this LU does not pivot
-            p = len(private)
-            coeffs[private] = np.linalg.solve(r[:, :p], r[:, -1] - r[:, p:-1] @ coeffs[mine])
+    for private, mine, z, scale, lift in lifts:
+        p = len(private)
+        coeffs[private] = (z[:p] - lift @ (z[p:] - scale[p:] * coeffs[mine])) / scale[:p]
     return coeffs
 
 
@@ -667,26 +788,35 @@ def decompose_marginals(
 
     What the solve holds is sized first (check_marginal_system), and
     the family must be projective at the given tolerance.  The system is
-    assembled from closed-form wavelet marginals (never from full-ranking
-    vectors), one design subset's block at a time, and solved by least
-    squares through a QR of each block and an SVD of the few rows left on
-    the columns that subsets share (_solve_design).  Neither step squares
-    the system's condition number (about 7e4 on the bench design at
-    n = 8), so the error stays near cond * eps.  A rank-deficient system
-    for a valid design is an internal error and raises SolverError with
-    the rank and the design.
+    never assembled: each design subset's block is read from the inverse
+    of its size's template (_template), and the few rows left on the
+    columns that subsets share are solved by SVD least squares
+    (_solve_design).  No step squares the system's condition number
+    (about 7e4 on the bench design at n = 8), so the error stays near
+    cond * eps.  A rank-deficient system or template for a valid design is
+    an internal error and raises SolverError with the rank and the design.
     """
-    design = fam.design
-    check_marginal_system(design)
+    check_marginal_system(fam.design)
     report = check_projective(fam, projectivity_tol)
     if not report.passed:
         raise ProjectivityError(report)
+    return _decompose_checked(fam)
+
+
+def _decompose_checked(fam: MarginalFamily) -> CoefficientVector:
+    """decompose_marginals once its caller has sized the system and checked
+    the family's projectivity."""
+    design = fam.design
     forms = design_forms(design)
-    rhs = np.array([fam[s](w) for s in design for w in all_words(s, design.n)], dtype=float)
-    coeffs = _solve_design(design, forms, rhs)
-    return CoefficientVector(
-        {str(form): float(c) for form, c in zip(forms, coeffs)}, design.n, "design"
-    )
+    rhs = []
+    for items in design:  # each subset's rankings in lexicographic order
+        observed = {w.letters: value for w, value in fam[items].terms.items()}
+        rhs.extend(observed.get(p, 0.0) for p in permutations(sorted(items)))
+    coeffs = _solve_design(design, forms, np.array(rhs, dtype=float))
+    if not np.isfinite(coeffs).all():
+        raise SolverError(f"the marginal system of design {[sorted(s) for s in design]} "
+                          "solves to a coefficient that is not finite")
+    return CoefficientVector._make(dict(zip(map(str, forms), coeffs.tolist())), design.n, "design")
 
 
 def marginal_residual(fam: MarginalFamily, c: CoefficientVector) -> float:

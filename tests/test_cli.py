@@ -35,6 +35,7 @@ from rankmra import (
     wavelet,
     wavelet_chain,
 )
+from rankmra import cli as cli_module
 from rankmra import mra as mra_module
 from rankmra import wavelets as wavelets_module
 from rankmra.cli import main
@@ -675,14 +676,14 @@ def test_decompose_refuses_oversized_design(tmp_path, capsys):
 
 def test_decompose_accepts_a_design_over_fifty_items(tmp_path, capsys):
     # 200 five-item subsets of 1..50: the whole system would be 24 000 x
-    # 22 548, but the blocks hold 200 * 120^2 entries and the columns they
-    # share leave a reduced system of 2 262 x 811
+    # 22 548, but one 120 x 120 template inverse serves every block, and the
+    # columns they share leave a reduced system of 2 262 x 811
     rng = random.Random(0)
     subsets = set()
     while len(subsets) < 200:
         subsets.add(frozenset(rng.sample(range(1, 51), 5)))
     design = write_design(tmp_path, [sorted(s) for s in subsets], 50)
-    assert check_marginal_system(ObservationDesign(subsets, 50)) == (200 * 120**2, 2262, 811)
+    assert check_marginal_system(ObservationDesign(subsets, 50)) == (120**2, 2262, 811)
     data = tmp_path / "data.csv"
     assert run(capsys, "sample", "--design", design, "--count", "4000", "--output", str(data))[0] == 0
     code, out, err = run(capsys, "decompose", "--input", str(data), "--design", design)
@@ -983,15 +984,59 @@ def test_commands_that_never_factor_leave_scipy_unloaded(tmp_path):
     assert result.stdout.strip() == "ok"
 
 
-def test_decompose_assembles_one_design_subset_at_a_time(tmp_path, capsys, monkeypatch):
-    # the block-angular solve never builds the whole design system
+def test_decompose_assembles_one_design_subset_at_a_time(tmp_path, capsys, monkeypatch, fresh_templates):
+    # the template solve never builds the design system, nor a block of it:
+    # _marginal_system builds one template per subset size, the one-subset
+    # design {1..m} at n = m, once per process however often it is read
     design, data = _tiny_design_dataset(tmp_path)
-    sizes = []
+    built = []
     system = mra_module._marginal_system
     monkeypatch.setattr(
         mra_module, "_marginal_system",
-        lambda design, forms: sizes.append(len(design)) or system(design, forms),
+        lambda design, forms: built.append(design.to_json()) or system(design, forms),
     )
+    for _ in range(2):
+        code, _, err = run(capsys, "decompose", "--input", data, "--design", design)
+        assert code == 0, err
+    assert built == [{"n": 2, "design": [[1, 2]]}, {"n": 3, "design": [[1, 2, 3]]}]
+
+
+def test_decompose_checks_projectivity_once(tmp_path, capsys, monkeypatch):
+    design, data = _tiny_design_dataset(tmp_path)
+    calls = []
+    for module in (cli_module, mra_module):
+        check = module.check_projective
+        monkeypatch.setattr(
+            module, "check_projective",
+            lambda fam, tol, check=check: calls.append(tol) or check(fam, tol),
+        )
     code, _, err = run(capsys, "decompose", "--input", data, "--design", design)
     assert code == 0, err
-    assert sizes == [1, 1]
+    assert calls == [0.1]
+
+
+def test_decompose_refuses_a_nan_fit_residual(tmp_path, capsys, monkeypatch):
+    # a NaN is within no tolerance: the gate reads "not residual <= tolerance"
+    design, data = _tiny_design_dataset(tmp_path)
+    monkeypatch.setattr(cli_module, "marginal_residual", lambda fam, c: float("nan"))
+    code, out, err = run(capsys, "decompose", "--input", data, "--design", design)
+    assert (code, out) == (5, "")
+    assert err.endswith("fit residual (sup norm): nan\nrankmra: residual nan exceeds tolerance 0.1\n")
+
+
+def test_decompose_exits_5_on_a_singular_template(tmp_path, capsys, monkeypatch, fresh_templates):
+    design, data = _tiny_design_dataset(tmp_path)
+    system = mra_module._marginal_system
+
+    def zeroed(design, forms):
+        mat = system(design, forms)
+        mat[:, -1] = 0  # the last form of 1..m
+        return mat
+
+    monkeypatch.setattr(mra_module, "_marginal_system", zeroed)
+    code, out, err = run(capsys, "decompose", "--input", data, "--design", design)
+    assert (code, out) == (5, "")
+    assert err.endswith(
+        "rankmra: the marginal system template of 2-item subsets has rank 1 below dimension 2 "
+        "for design [[1, 2], [1, 2, 3]]\n"
+    )

@@ -321,6 +321,21 @@ def test_read_rankings_csv_reports_first_bad_line(tmp_path):
         read_rankings_csv(str(path), 4)
 
 
+def test_read_rankings_csv_numbers_lines_whatever_their_ends(tmp_path):
+    # each distinct line is validated once, but a bad one is reported at
+    # its first line, counted alike for \n, \r\n and \r ends
+    path = tmp_path / "data.csv"
+    rows = ["1,2,3", "", "3,1,2", "1,2,3", "2,2,1", "3,1,2", "2,2,1"]
+    for end in ("\n", "\r\n", "\r"):
+        path.write_bytes(end.join(rows).encode() + end.encode())
+        with pytest.raises(ValueError, match="^line 5: letter 2 repeated"):
+            read_rankings_csv(str(path), 3)
+        path.write_bytes(end.join(rows[:4]).encode())
+        records = read_rankings_csv(str(path), 3)
+        assert [str(word) for _, word in records] == ["123", "312", "123"]
+        assert records[0] is records[2]  # a repeated line shares its record
+
+
 def test_memoized_reader_and_tally_match_per_record_definition(tmp_path):
     rng = random.Random(12)
     n = 5

@@ -551,6 +551,43 @@ def test_synthesize_marginals_equals_chain_sum():
             synthesize_marginals(CoefficientVector({"id": 1.0}, 4), [bad])
 
 
+# sha256 of _level_index(n, k)'s rank, ranking and restricted arrays, with
+# their dtypes and shapes, for k = 2..n
+LEVEL_INDEX_DIGESTS = {
+    3: "e03147451d280e60f00add86931642eb23412aa5fe41853100d1f7fbd4a9bbef",
+    4: "3719694a197a8a14788d07ecfa0fa5a463b104a0b76d6a0236e0c565e3ad2044",
+    5: "7c84f8d8bccc455a56d1e4720baba83b4461ae024fe0280ff69207431ae3ba51",
+    6: "d3b08718b460eabf97db1a5eeeda49934d1071da05cd368bc217479718fefb40",
+    7: "2046e8d1182d1d0a5d60286734eff602975bb8c9198d059f62533161439cfc19",
+    8: "64e2ec8c8f146601c1fc82bedfdd3fe53b4bf699192522f4e23765e77a4135f1",
+}
+
+
+def test_level_index_is_byte_identical():
+    for n, expected in LEVEL_INDEX_DIGESTS.items():
+        digest = hashlib.sha256()
+        for k in range(2, n + 1):
+            for a in mra_module._level_index(n, k)[:3]:
+                digest.update(f"{a.dtype.str}{a.shape}".encode())
+                digest.update(a.tobytes())
+        assert digest.hexdigest() == expected, n
+    mra_module._level_index.cache_clear()  # the n = 8 tables are about 80 MB
+
+
+def test_synthesize_marginals_sums_integer_coefficients_exactly():
+    # Python int coefficients sum exactly, as in the Chain sum: at n = 25 a
+    # marginal scale such as 24!/3! is past 2**53, where floats round
+    rng = random.Random(25)
+    for n in (5, 25):
+        subsets = [frozenset(rng.sample(range(1, n + 1), size)) for size in (2, 3, 4)]
+        keys = ["id"] + [str(form) for s in subsets for form in design_forms(ObservationDesign([s], n))[1:]]
+        c = CoefficientVector({key: rng.randint(-3, 3) for key in dict.fromkeys(keys)}, n)
+        got = synthesize_marginals(c, subsets)
+        for subset in subsets:
+            assert got[subset] == _chain_sum_marginal(c, subset)
+            assert got[subset].is_integer()
+
+
 def test_synthesize_marginals_refuses_subset_beyond_max_n():
     # the 11! rankings of the subset are never listed
     c = CoefficientVector({"id": 1.0 / factorial(11)}, 11)
@@ -619,8 +656,9 @@ def test_check_marginal_system_guard(monkeypatch):
     forms = design_forms(design)
     held = [sum(form.support() <= s for s in design) for form in forms]
     shared = [h for h in held if h > 1]
-    # the blocks' R factors, then the reduced rows and columns (with b)
-    assert check_marginal_system(design) == (2 * 720**2 + 24**2 + 6**2 + 24**2, 272, 134)
+    # one template inverse per subset size (6, 4 and 3), then the reduced
+    # rows and columns (with b)
+    assert check_marginal_system(design) == (720**2 + 24**2 + 6**2, 272, 134)
     assert (sum(shared), 1 + len(shared)) == (272, 134)
     # ... which are the rows and columns _solve_design stacks on the shared forms
     stacked = []
@@ -634,10 +672,10 @@ def test_check_marginal_system_guard(monkeypatch):
     # the whole n = 7 space fills the block bound exactly, and shares nothing
     seven = ObservationDesign([range(1, 8)], n)
     assert check_marginal_system(seven) == (5040**2, 0, 1)
-    # one more pair tips the blocks over, counted from the subset sizes
+    # one more pair tips the templates over, counted from the subset sizes
     over = ObservationDesign([range(1, 8), [1, 8]], n)
     _refused_before_any_block(over, "5042 rows .* hold 25401604 entries", monkeypatch)
-    # every 6-subset of 1..8: 28 blocks of 720^2 fit, but their shared
+    # every 6-subset of 1..8: one template of 720^2 fits, but their shared
     # forms leave a reduced system of 12 740 x 3 236 (41 226 640 entries)
     sixes = ObservationDesign(combinations(range(1, 9), 6), n)
     _refused_before_any_block(sixes, "12740 rows and 3236 columns", monkeypatch)
@@ -648,13 +686,13 @@ def test_check_marginal_system_guard(monkeypatch):
         lambda items: pytest.fail(f"walked the closure of {len(items)} items"),
     )
     big = ObservationDesign([range(1, 31)], 30)
-    with pytest.raises(ValueError, match="R factors"):
+    with pytest.raises(ValueError, match="template inverses, one per subset size"):
         check_marginal_system(big)
 
 
 def test_decompose_marginals_recovers_coefficients_on_thirty_items():
     # 50 five-item subsets of 1..30: a 6000 x 5678 system whose columns
-    # are mostly private to one subset; the blocks hold 50 * 120^2 entries
+    # are mostly private to one subset; one 120 x 120 template serves them
     rng = random.Random(1)
     subsets = set()
     while len(subsets) < 50:
@@ -663,7 +701,7 @@ def test_decompose_marginals_recovers_coefficients_on_thirty_items():
     design = ObservationDesign(subsets, n)
     keys = design_keys(design)
     assert len(keys) == 5678
-    assert check_marginal_system(design) == (50 * 120**2, 536, 215)
+    assert check_marginal_system(design) == (120**2, 536, 215)
 
     def scale(key):  # the marginal of psi_key on a five-item subset holding it
         k = len(CycleForm.parse(key).support())
@@ -793,24 +831,60 @@ def test_design_solve_matches_gelsy_on_random_designs(drawn, seed):
     _assert_matches_gelsy(ObservationDesign(subsets, n), seed)
 
 
-@pytest.mark.parametrize("key", ["(1 2)", "(2 3)"])  # private to [1, 2, 3]; shared
-def test_decompose_marginals_reports_a_rank_shortfall(key, monkeypatch):
+@pytest.mark.parametrize("seed", [1, 2])
+def test_design_solve_matches_gelsy_on_labels_above_9(seed):
+    # derangement_forms is in text order past label 9, so the template
+    # columns are found by relabelled cycle form, not by position
+    design = _relabelled(BENCH_TEMPLATE, 15, seed)
+    assert max(max(s) for s in design) > 9
+    _assert_matches_gelsy(design, seed)
+    _assert_matches_gelsy(ObservationDesign([[8, 9, 10, 11], [9, 10, 12, 15], [3, 12, 14], [10, 11]], 15), seed)
+
+
+def test_design_solve_builds_one_template_per_subset_size(monkeypatch, fresh_templates):
+    design = _relabelled(BENCH_TEMPLATE, 8, 4)  # subsets of 6, 6, 4, 4, 3, 2 and 2 items
+    built = []
+    system = mra_module._marginal_system
+    monkeypatch.setattr(
+        mra_module, "_marginal_system",
+        lambda design, forms: built.append((design.n, len(forms))) or system(design, forms),
+    )
+    forms = design_forms(design)
+    rhs = np.random.default_rng(4).normal(size=2 * 720 + 2 * 24 + 6 + 2 * 2)
+    first = _solve_design(design, forms, rhs)
+    assert built == [(2, 2), (3, 6), (4, 24), (6, 720)]
+    assert np.array_equal(_solve_design(design, forms, rhs), first)
+    assert len(built) == 4  # read from the cache the second time
+
+
+@pytest.mark.parametrize("key", ["(1 2)", "(2 3)"])  # columns of the 3-item template
+def test_decompose_marginals_reports_a_rank_shortfall(key, monkeypatch, fresh_templates):
+    # both subsets read the one 3-item template, in which either key is a
+    # column; a zero column, or one too small to count, leaves it rank 5,
+    # which is named with the design, and nothing is cached
     design = ObservationDesign([[1, 2, 3], [2, 3, 4]], 4)
-    assert ("(2 3)" in _shared_forms(design)) and ("(1 2)" not in _shared_forms(design))
     fam = exact_marginals(uniform_distribution(4), design)
     system = mra_module._marginal_system
+    for factor in (0.0, 1e-20):
 
-    def zeroed(design, forms):
-        mat = system(design, forms)
-        mat[:, [str(f) == key for f in forms]] = 0
-        return mat
+        def scaled(design, forms):
+            mat = system(design, forms)
+            mat[:, [str(f) == key for f in forms]] *= factor
+            return mat
 
-    monkeypatch.setattr(mra_module, "_marginal_system", zeroed)
-    with pytest.raises(SolverError, match=r"rank 9 below dimension 10 for design \[\[1, 2, 3\], \[2, 3, 4\]\]"):
-        decompose_marginals(fam)
+        monkeypatch.setattr(mra_module, "_marginal_system", scaled)
+        with pytest.raises(
+            SolverError,
+            match=r"template of 3-item subsets has rank 5 below dimension 6 "
+            r"for design \[\[1, 2, 3\], \[2, 3, 4\]\]$",
+        ):
+            decompose_marginals(fam)
+        assert mra_module._template.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert marginal_residual(fam, decompose_marginals(fam)) < 1e-15
 
 
-def test_design_path_reads_each_chain_once(monkeypatch):
+def test_design_path_reads_each_chain_once(monkeypatch, fresh_templates):
     # each support size's chains are built once, as one level table, however
     # many design subsets hold a support and whether it is assembled or
     # synthesized
