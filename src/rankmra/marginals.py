@@ -271,25 +271,20 @@ def empirical_marginals(
     Repeated (subset, word) records accumulate counts; normalization is per
     subset.  Records outside the design, content mismatches, and design
     subsets with no observations are all rejected.  Records are tallied
-    first, as they are when they are hashable (read_rankings_csv's are
-    (frozenset, Word) pairs, shared by repeated lines), and each distinct
-    one is checked once, in first-seen order, so the first bad record is
-    the one reported.
+    first and each distinct one is checked once, in first-seen order, so
+    the first bad record is the one reported.
     """
-    records = list(dataset)
-    try:
-        tally = Counter(records)
-    except TypeError:  # a subset given as a list or a set
-        tally = Counter((frozenset(s), w) for s, w in records)
+    tally = Counter(
+        (s if isinstance(s, frozenset) else frozenset(s), w) for s, w in dataset
+    )
     counts: dict[frozenset[int], dict[Word, int]] = {s: {} for s in design}
     for (subset, word), count in tally.items():
-        subset = subset if isinstance(subset, frozenset) else frozenset(subset)
         bucket = counts.get(subset)
         if bucket is None:
             raise ValueError(f"record subset {sorted(subset)} not in design")
         if content(word) != subset:
             raise ValueError(f"word {word} does not rank subset {sorted(subset)}")
-        bucket[word] = bucket.get(word, 0) + count  # (1, 2) and (2, 1) are one subset
+        bucket[word] = count
     per_subset = {}
     for subset, bucket in counts.items():
         total = sum(bucket.values())

@@ -25,8 +25,8 @@ a design subset A touch only the forms whose support lies in A, and few
 of those are held by another subset too (41 of 1450 columns on a
 seven-subset design at n = 8).  By translation covariance A's block is
 B_m, the marginal system of {1..m} at n = m (m = |A|), with its columns
-relabelled and scaled; so one inverse of B_m per subset size, cached for
-the process, serves every block of that size.  Read through it, each
+relabelled and scaled; so one inverse of B_m per subset size, built once
+per solve, serves every block of that size.  Read through it, each
 block gives A's coefficients as if A stood alone, a few rows on the
 shared columns (R^-T of a thin QR of the inverse's rows there), and the
 private coefficients once the shared ones are known.  The stacked rows
@@ -67,7 +67,7 @@ from .perms import (
     eig_class_dimensions,
     scale_dimension,
 )
-from .wavelets import LARGE_N, MAX_DENSE_ENTRIES, MAX_N, _form_column, level_matrix, wavelet_chain
+from .wavelets import LARGE_N, MAX_DENSE_ENTRIES, MAX_N, _form_column, _relabel, level_matrix, wavelet_chain
 from .words import FLOAT_PRUNE_TOL, Chain, Word, _pruned, delete
 
 RESIDUAL_REL_TOL = 1e-9
@@ -488,13 +488,13 @@ def check_marginal_system(design: ObservationDesign) -> tuple[int, int, int]:
     reduced system on the shared columns.
 
     Each subset size m brings one m! x m! template inverse (_template),
-    held for the rest of the process (at m = 7, 5040^2 floats, about
-    200 MB), counted from the sizes alone and first, as listing a subset's
-    closure takes 2^m steps.  Each support S held by
-    h > 1 subsets brings D_|S| shared columns and h * D_|S| reduced rows
-    (D_k derangements of k items, D_0 = 1 for the identity), and the
-    right-hand side one more column.  Either count over MAX_DENSE_ENTRIES
-    raises ValueError, as does a scale that overflows a float (check_scale).
+    held until the solve returns (at m = 7, 5040^2 floats, about 200 MB),
+    counted from the sizes alone and first, as listing a subset's closure
+    takes 2^m steps.  Each support S held by h > 1 subsets brings D_|S|
+    shared columns and h * D_|S| reduced rows (D_k derangements of k
+    items, D_0 = 1 for the identity), and the right-hand side one more
+    column.  Either count over MAX_DENSE_ENTRIES raises ValueError, as
+    does a scale that overflows a float (check_scale).
     """
     check_scale(min(design, key=len), design.n)
     over = f"more than the {MAX_DENSE_ENTRIES} entries of the dense basis matrix at n = {LARGE_N}"
@@ -559,19 +559,6 @@ def _placement(support: frozenset[int], items: frozenset[int]) -> tuple[np.ndarr
     letters = tuple(i for i, b in enumerate(sorted(items)) if b in support)
     _, ranking, restricted, subset = _level_index(len(items), len(support))
     return ranking[subset[letters]], restricted[subset[letters]]
-
-
-def _columns(forms: list[CycleForm]) -> np.ndarray:
-    """The columns of X_k of forms on one support of k items, relabelled
-    onto 1..k in the order of their labels (so they stay standard), as a
-    dense k! x len(forms) int8 array."""
-    label = {b: i for i, b in enumerate(sorted(forms[0].support()), 1)}
-    column, indptr, rows, signs = level_matrix(len(label))
-    at = [column[tuple(tuple(label[b] for b in c) for c in form.cycles)] for form in forms]
-    entries = np.concatenate([np.arange(indptr[j], indptr[j + 1]) for j in at])
-    x = np.zeros((factorial(len(label)), len(forms)), dtype=np.int8)
-    x[rows[entries], np.repeat(np.arange(len(forms)), np.diff(indptr)[at])] = signs[entries]
-    return x
 
 
 def _marginal_terms(form: CycleForm, items: frozenset[int], n: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -655,41 +642,29 @@ def synthesize_marginals(c: CoefficientVector, subsets) -> dict[frozenset[int], 
 
 def _marginal_system(design: ObservationDesign, forms: list[CycleForm]) -> np.ndarray:
     """The matrix of closed-form wavelet marginals: one column per form,
-    one row per ranking of each design subset, subsets in design order.
-    Filled a support at a time: where it stands together in a subset's
-    rankings is placed once, and every form on it is read there at once."""
-    sizes = [factorial(len(items)) for items in design]
-    offsets = np.cumsum([0] + sizes).tolist()
-    mat = np.zeros((offsets[-1], len(forms)))
-    by_support: dict[frozenset[int], list[int]] = {}
+    one row per ranking of each design subset, subsets in design order."""
+    mat = np.zeros((sum(factorial(len(items)) for items in design), len(forms)))
     for j, form in enumerate(forms):
-        by_support.setdefault(form.support(), []).append(j)
-    for support, held in by_support.items():
-        if support:
-            x = _columns([forms[j] for j in held])
-        for items, offset, size in zip(design, offsets, sizes):
+        support, offset = form.support(), 0
+        for items in design:
             if support <= items:
-                scale = float(_marginal_scale(design.n, len(items), len(support)))
-                if support:
-                    placed, ranks = _placement(support, items)
-                    mat[offset + placed[:, None], held] = x[ranks] * scale
-                else:
-                    mat[offset : offset + size, held] = scale
+                rows, signs, scale = _marginal_terms(form, items, design.n)
+                mat[offset + rows, j] = signs * float(scale)
+            offset += factorial(len(items))
     return mat
 
 
-@lru_cache(maxsize=None)
 def _template(m: int) -> tuple[dict[tuple, int], np.ndarray]:
-    """The inverse of B_m, the marginal system of the one-subset design
-    {1..m} at n = m, once per process, read-only: (column, inverse).
-    column maps each form of 1..m's cycles to its column of B_m.
+    """The inverse of B_m, the basis matrix of S_m (the marginal system of
+    the one-subset design {1..m} at n = m): (column, inverse).  column maps
+    each form of 1..m's cycles to its column of B_m.
 
     B_m is square and invertible.  Its 1-norm condition number, which the
     inverse gives at once, screens it; past the cutoff eps * m!, its
     singular values judge, and a rank below m! raises SolverError.
     """
-    forms = [CycleForm(())] + list(basis_forms(m))
-    b = _marginal_system(ObservationDesign([range(1, m + 1)], m), forms)
+    basis = build_basis(m)
+    b = basis.matrix()
     cutoff = np.finfo(float).eps * len(b)
     try:
         inverse = np.linalg.inv(b)
@@ -704,14 +679,13 @@ def _template(m: int) -> tuple[dict[tuple, int], np.ndarray]:
                 f"the marginal system template of {m}-item subsets has rank {rank} "
                 f"below dimension {len(b)}"
             )
-    inverse.flags.writeable = False  # shared by every design in the process
-    return {form.cycles: j for j, form in enumerate(forms)}, inverse
+    return {form.cycles: j for j, form in enumerate(basis.forms)}, inverse
 
 
 def _solve_design(design: ObservationDesign, forms: list[CycleForm], rhs: np.ndarray) -> np.ndarray:
     """The least-squares solution of _marginal_system(design, forms) against
     rhs (rows in design order), solved one design subset at a time from
-    one template inverse per subset size.
+    one template inverse per subset size, built for this call.
 
     Design subset A (m items) has the block M_A = B_m[:, at] D: at maps A's
     forms, relabelled onto 1..m by cycle form, to the columns of B_m
@@ -743,11 +717,10 @@ def _solve_design(design: ObservationDesign, forms: list[CycleForm], rhs: np.nda
     rank, reduced, lifts, offset = 0, [], [], 0
     for items, held in zip(design, columns):
         column, inverse = templates[len(items)]
-        label = {b: i for i, b in enumerate(sorted(items), 1)}
         private = [j for j in held if j not in reduced_column]
         mine = [j for j in held if j in reduced_column]
         order = private + mine
-        at = np.array([column[tuple(tuple(label[b] for b in c) for c in forms[j].cycles)] for j in order])
+        at = np.array([column[_relabel(forms[j], items)] for j in order])
         scale = np.array([float(_marginal_scale(design.n, len(items), len(supports[j]))) for j in order])
         # D z_A: A's coefficients as if it stood alone, in template units
         z = (inverse @ rhs[offset : offset + len(order)])[at]

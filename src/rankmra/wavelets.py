@@ -206,13 +206,20 @@ def level_matrix(k: int) -> tuple[dict[tuple, int], np.ndarray, np.ndarray, np.n
     return {c: j for j, c in enumerate(cycles)}, *table
 
 
+def _relabel(form: CycleForm, items) -> tuple[tuple[int, ...], ...]:
+    """form's cycles relabelled onto 1..len(items), items (which hold its
+    support) in the order of their labels, so that they stay standard:
+    its key among the forms of 1..len(items)."""
+    label = {b: i for i, b in enumerate(sorted(items), 1)}
+    return tuple(tuple(label[b] for b in cycle) for cycle in form.cycles)
+
+
 def _form_column(form: CycleForm) -> tuple[np.ndarray, np.ndarray]:
     """form's column of level_matrix(k), k its support size, relabelled onto
-    1..k in the order of its labels (so it stays standard): rows, signs."""
-    support = sorted(form.support())
-    label = {b: i for i, b in enumerate(support, 1)}
+    1..k (_relabel): rows, signs."""
+    support = form.support()
     column, indptr, rows, signs = level_matrix(len(support))
-    j = column[tuple(tuple(label[b] for b in cycle) for cycle in form.cycles)]
+    j = column[_relabel(form, support)]
     return rows[indptr[j] : indptr[j + 1]], signs[indptr[j] : indptr[j + 1]]
 
 

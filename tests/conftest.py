@@ -3,7 +3,6 @@ from functools import cache
 import pytest
 
 from rankmra import build_basis
-from rankmra import mra
 
 
 @cache
@@ -15,13 +14,3 @@ def _basis(n: int):
 def basis_for():
     """Session-cached wavelet bases keyed by universe size."""
     return _basis
-
-
-@pytest.fixture
-def fresh_templates():
-    """Clears the design solve's per-process template cache, now and after
-    the test, so that a test sees its templates built and leaves none it
-    corrupted behind; calling it clears the cache again."""
-    mra._template.cache_clear()
-    yield mra._template.cache_clear
-    mra._template.cache_clear()

@@ -984,10 +984,10 @@ def test_commands_that_never_factor_leave_scipy_unloaded(tmp_path):
     assert result.stdout.strip() == "ok"
 
 
-def test_decompose_assembles_one_design_subset_at_a_time(tmp_path, capsys, monkeypatch, fresh_templates):
+def test_decompose_assembles_one_design_subset_at_a_time(tmp_path, capsys, monkeypatch):
     # the template solve never builds the design system, nor a block of it:
     # _marginal_system builds one template per subset size, the one-subset
-    # design {1..m} at n = m, once per process however often it is read
+    # design {1..m} at n = m
     design, data = _tiny_design_dataset(tmp_path)
     built = []
     system = mra_module._marginal_system
@@ -995,9 +995,8 @@ def test_decompose_assembles_one_design_subset_at_a_time(tmp_path, capsys, monke
         mra_module, "_marginal_system",
         lambda design, forms: built.append(design.to_json()) or system(design, forms),
     )
-    for _ in range(2):
-        code, _, err = run(capsys, "decompose", "--input", data, "--design", design)
-        assert code == 0, err
+    code, _, err = run(capsys, "decompose", "--input", data, "--design", design)
+    assert code == 0, err
     assert built == [{"n": 2, "design": [[1, 2]]}, {"n": 3, "design": [[1, 2, 3]]}]
 
 
@@ -1024,7 +1023,7 @@ def test_decompose_refuses_a_nan_fit_residual(tmp_path, capsys, monkeypatch):
     assert err.endswith("fit residual (sup norm): nan\nrankmra: residual nan exceeds tolerance 0.1\n")
 
 
-def test_decompose_exits_5_on_a_singular_template(tmp_path, capsys, monkeypatch, fresh_templates):
+def test_decompose_exits_5_on_a_singular_template(tmp_path, capsys, monkeypatch):
     design, data = _tiny_design_dataset(tmp_path)
     system = mra_module._marginal_system
 
