@@ -5,14 +5,20 @@ By localization, the marginal of psi_tau on a subset A is 0 unless
 supp tau lies in A; so once the constant and the supports of fewer than
 k items are subtracted, the marginal of what is left on a k-subset A is
 (n - k + 1)! X_A c_A, X_A being the +-1 chain matrix of A's derangements.
-By translation covariance, X_A is X_k, the matrix of 1..k, relabelled.
-So one Cholesky factor of G_k = X_k^T X_k per support size k solves the
-coefficients of all C(n, k) subsets of that size at once.  The normal
-equations are safe here: cond(X_7) = 233, so cond(G_7) is about 5e4,
-and the residual of every solve is still checked against the 1e-9 gate.
-Synthesis reads X_k and the ranking index only, so it runs at n = 8:
-the Gram matrices and their factors are analysis's, which refuses n = 8.
-The dense basis matrix is built only as a test oracle and for `verify`.
+By translation covariance X_A is X_k, the matrix of 1..k, relabelled.
+So any D_k rows of X_k on which it is invertible determine c_A.  The
+engine reads the all-left words (wavelets.pivot_rows), one per
+derangement form, on which X_k is T_k: ordered by dependency depth, T_k
+is lower triangular with +-1 on its diagonal, so every level solves the
+coefficients of all C(n, k) subsets of its size at once by substitution,
+a depth at a time (76 steps at k = 7, 160 at k = 8), with no Gram matrix
+and no factorization.  That T_k is triangular is checked for k <= 8, not
+proven (Reiner and Webb's derangement basis of the top homology of the
+complex of injective words suggests why), so each level's build checks
+it and raises SolverError if it fails; and the residual of every
+analysis is checked against the 1e-9 gate.  Analysis and synthesis both
+run at n = 8, behind allow_large.  The dense basis matrix is built only
+as a test oracle and for `verify`.
 
 One ranking index per (m, k), _level_index, serves the engine, the dense
 basis matrix, the design system and marginal synthesis.  A marginal of
@@ -35,7 +41,7 @@ solution of the whole system, and no step forms normal equations: the
 system is not well conditioned (about 7e4 on the design above), and
 squaring that to about 5e9 would come too close to the 1e-9 agreement the
 coefficients are held to.  Only numpy is needed; scipy.sparse is imported
-by full synthesis and analysis, and scipy.linalg by full analysis alone.
+by full synthesis and analysis, and nothing imports scipy.linalg.
 """
 
 from __future__ import annotations
@@ -67,10 +73,23 @@ from .perms import (
     eig_class_dimensions,
     scale_dimension,
 )
-from .wavelets import LARGE_N, MAX_DENSE_ENTRIES, MAX_N, _form_column, _relabel, level_matrix, wavelet_chain
+from .wavelets import (
+    LARGE_N,
+    MAX_DENSE_ENTRIES,
+    MAX_N,
+    _form_column,
+    _relabel,
+    level_matrix,
+    pivot_rows,
+    wavelet_chain,
+)
 from .words import FLOAT_PRUNE_TOL, Chain, Word, _pruned, delete
 
 RESIDUAL_REL_TOL = 1e-9
+# what a fresh process pays to import rankmra and build the levels of full
+# analysis, from n = LARGE_N on: wall time and peak RSS, measured on a
+# 2-core x86-64 VM (Python 3.11, numpy 2.4, scipy 1.17)
+ANALYSIS_COST = {7: "0.6 s and 65 MB", 8: "2.3 s and 205 MB"}
 
 
 class ProjectivityError(ValueError):
@@ -91,9 +110,9 @@ def _parse_key(key: str) -> CycleForm:
     return CycleForm.parse(key)
 
 
-def basis_sort_key(key: str) -> tuple:
+def _form_sort_key(form: CycleForm, key: str) -> tuple:
     """Order coefficient keys by (support size, support, cycle-form string)."""
-    support = _parse_key(key).support()
+    support = form.support()
     return (len(support), tuple(sorted(support)), key)
 
 
@@ -169,7 +188,8 @@ class WaveletBasis:
     @cached_property
     def levels(self) -> list[_Level]:
         """The subset-triangular engine: one _Level per support size
-        k = 2..n, each with its span, and no factor until a solve asks."""
+        k = 2..n, each with its span, and no pivot tables until a solve
+        asks."""
         levels, start = [_Level(self.n, k) for k in range(2, self.n + 1)], 1
         for level in levels:
             level.span = slice(start, start + level.forms * level.subsets)
@@ -177,19 +197,10 @@ class WaveletBasis:
         return levels
 
     def lu(self) -> WaveletBasis:
-        """Factor now: every level's Cholesky factor, as full analysis
-        solves (the name is older than the engine).  It never builds
-        matrix().  At n = 8 it refuses before any level is built, as the top
-        block's Gram matrix would exceed MAX_DENSE_ENTRIES."""
-        top = derangement_number(self.n)
-        if top * top > MAX_DENSE_ENTRIES:
-            raise ValueError(
-                f"full analysis at n = {self.n} solves a top block of {factorial(self.n)} rows "
-                f"and {top} columns, whose Gram matrix would exceed the "
-                f"{MAX_DENSE_ENTRIES} entries of the dense basis matrix at n = {LARGE_N}"
-            )
+        """Build now what full analysis reads: every level's pivot tables
+        (the name is older than the engine).  It never builds matrix()."""
         for level in self.levels:
-            level._normal
+            level._pivots
         return self
 
 
@@ -208,7 +219,8 @@ class CoefficientVector:
     Every key and value is validated on construction.  _make skips that
     for coefficients the library itself solved: decompose calls it with
     the basis keys and the floats its residual gate has passed, and
-    decompose_marginals with the design keys and finite floats.
+    decompose_marginals with the design keys, finite floats and the cycle
+    form of each key, so that sorting and marginal synthesis parse none.
     """
 
     coeffs: dict[str, float]
@@ -227,18 +239,28 @@ class CoefficientVector:
         if self.scope not in ("full", "design"):
             raise ValueError(f"unknown scope {self.scope!r}")
 
+    _forms = None  # key -> CycleForm, when _make was given them
+
     @classmethod
-    def _make(cls, coeffs: dict[str, float], n: int, scope: str) -> "CoefficientVector":
-        """Trusted constructor: keys are basis keys, values finite floats."""
+    def _make(
+        cls, coeffs: dict[str, float], n: int, scope: str, forms: dict[str, CycleForm] | None = None
+    ) -> "CoefficientVector":
+        """Trusted constructor: keys are basis keys, values finite floats,
+        and forms, if given, maps keys to their cycle forms."""
         c = object.__new__(cls)
-        c.coeffs, c.n, c.scope = coeffs, n, scope
+        c.coeffs, c.n, c.scope, c._forms = coeffs, n, scope, forms
         return c
+
+    def _form(self, key: str) -> CycleForm:
+        """The cycle form of a key: the one given to _make, else parsed."""
+        form = None if self._forms is None else self._forms.get(key)
+        return _parse_key(key) if form is None else form
 
     def get(self, key: str) -> float:
         return self.coeffs.get(key, 0.0)
 
     def sorted_items(self) -> list[tuple[str, float]]:
-        return sorted(self.coeffs.items(), key=lambda kv: basis_sort_key(kv[0]))
+        return sorted(self.coeffs.items(), key=lambda kv: _form_sort_key(self._form(kv[0]), kv[0]))
 
     def to_json(self) -> dict:
         return {
@@ -333,60 +355,132 @@ def _level_index(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, di
     return *table, {s: a for a, s in enumerate(combinations(range(m), k))}
 
 
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenation of arange(a, b) over the pairs of starts, stops,
+    and where each range begins in it."""
+    counts = stops - starts
+    begins = np.cumsum(counts) - counts
+    return np.repeat(starts - begins, counts) + np.arange(counts.sum()), begins
+
+
+@lru_cache(maxsize=None)
+def _pivot_plan(k: int) -> tuple[np.ndarray, list[tuple]]:
+    """T_k, X_k on its pivot rows (wavelets.pivot_rows), as substitution
+    steps: (rows, steps).  Each step solves the forms at one dependency
+    depth, as (forms, diagonal, columns, signs, starts): form i of forms
+    reads the off-diagonal entries starts[i]:starts[i + 1] of T_k's row,
+    at columns (solved at a smaller depth) with signs, and its diagonal
+    entry.  The steps order T_k lower triangular; that is checked, not
+    proven, so distinct pivot rows, a +-1 diagonal and a dependency order
+    that reaches every column are checked here, and SolverError raised
+    if one fails.  Built once per process; depth 76 at k = 7, 160 at 8."""
+    column, indptr, x_rows, x_signs = level_matrix(k)
+    size, rows = len(column), pivot_rows(k)
+    if len(np.unique(rows)) != size:
+        raise SolverError(f"the all-left words of the {size} derangements of 1..{k} are not distinct")
+    form_of_row = np.full(factorial(k), -1)
+    form_of_row[rows] = np.arange(size)
+    i = form_of_row[x_rows]  # T_k's row of each entry of X_k, or -1
+    j = np.repeat(np.arange(size), np.diff(indptr))
+    on = i >= 0
+    i, j, signs = i[on], j[on], x_signs[on].astype(float)
+    on = i == j
+    diagonal = np.zeros(size)
+    diagonal[i[on]] = signs[on]
+    if not (np.abs(diagonal) == 1).all():
+        raise SolverError(f"T_{k}, X_{k} on its pivot rows, has a diagonal entry other than +-1")
+    i, j, signs = i[~on], j[~on], signs[~on]
+    # Kahn's order, a depth at a time: a form is solved once every column
+    # its row reads off the diagonal is
+    pending = np.bincount(i, minlength=size)
+    by_column = np.argsort(j, kind="stable")
+    readers, column_start = i[by_column], np.searchsorted(j[by_column], np.arange(size + 1))
+    by_row = np.argsort(i, kind="stable")
+    j, signs, row_start = j[by_row], signs[by_row], np.searchsorted(i[by_row], np.arange(size + 1))
+    steps, solved = [], 0
+    forms = np.flatnonzero(pending == 0)
+    while len(forms):
+        entries, starts = _ranges(row_start[forms], row_start[forms + 1])
+        steps.append((forms, diagonal[forms, None], j[entries], signs[entries, None], starts))
+        solved += len(forms)
+        hit = readers[_ranges(column_start[forms], column_start[forms + 1])[0]]
+        pending -= np.bincount(hit, minlength=size)
+        forms = np.unique(hit[pending[hit] == 0])
+    if solved != size:
+        raise SolverError(f"T_{k} is not triangular: a dependency order reaches {solved} of its {size} columns")
+    return rows, steps
+
+
 class _Level:
     """The wavelets whose support has k items, for every k-subset at once.
 
     x: X_k, sparse, from the triplets of level_matrix(k) in its
     column-major order, a column per form of derangement_forms(1..k).
     ranking, slot: from _level_index(n, k), the rankings in which subset a
-    stands together, and a * k! plus their rank on a.  span: the level's
-    coefficients in basis order, subset by subset, set by
-    WaveletBasis.levels.  Synthesis reads these; solve also reads _normal.
+    stands together, and a * k! plus their rank on a (int32).  span: the
+    level's coefficients in basis order, subset by subset, set by
+    WaveletBasis.levels.  Synthesis reads these; solve also reads _pivots.
     """
 
     def __init__(self, n: int, k: int):
         import scipy.sparse
 
-        self.scale = factorial(n - k + 1)
+        self.n, self.k, self.scale = n, k, factorial(n - k + 1)
         column, indptr, rows, signs = level_matrix(k)
         self.forms = len(column)
         cols = np.repeat(np.arange(self.forms, dtype=np.int32), np.diff(indptr))
         self.x = scipy.sparse.csr_array(
             (signs.astype(float), (rows, cols)), shape=(factorial(k), self.forms)
         )
-        self.rank, ranking, restricted, _ = _level_index(n, k)
-        self.size, self.subsets = self.rank.shape
+        rank, ranking, restricted, _ = _level_index(n, k)
+        self.size, self.subsets = rank.shape
         self.ranking = ranking.ravel()
-        self.slot = (restricted + np.arange(self.subsets)[:, None] * factorial(k)).ravel()
+        self.slot = (restricted + np.arange(self.subsets, dtype=np.int32)[:, None] * factorial(k)).ravel()
 
     @cached_property
-    def _normal(self):
-        """marginal_slot, a * k! plus each full ranking's rank on subset a
-        (row-major); the Cholesky factor of X_k^T X_k; scipy's cho_solve."""
-        import scipy.linalg  # only full analysis pays for its import
-
-        marginal_slot = (self.rank + np.arange(self.subsets) * self.x.shape[0]).ravel()
-        factor = scipy.linalg.cho_factor((self.x.T @ self.x).toarray())
-        return marginal_slot, factor, scipy.linalg.cho_solve
+    def _pivots(self) -> tuple[np.ndarray, list[tuple]]:
+        """gather, steps.  gather[a, i] lists the n!/k! full rankings
+        (int32) whose rank on subset a is form i's pivot row: their sum is
+        subset a's marginal there.  steps are _pivot_plan(k)'s."""
+        rank = _level_index(self.n, self.k)[0]
+        rows, steps = _pivot_plan(self.k)
+        by_rank = np.argsort(rank.T, axis=1, kind="stable").reshape(self.subsets, factorial(self.k), -1)
+        return by_rank[:, rows].astype(np.int32), steps
 
     def solve(self, rest: np.ndarray) -> np.ndarray:
         """Coefficients (forms x subsets) whose marginals on the k-subsets
-        are those of rest."""
-        marginal_slot, factor, cho_solve = self._normal
-        marginals = np.bincount(
-            marginal_slot,
-            weights=np.repeat(rest, self.subsets),
-            minlength=self.subsets * self.x.shape[0],
-        )
-        rhs = self.x.T @ marginals.reshape(self.subsets, -1).T
-        # the factor was checked once by cho_factor; a non-finite result
-        # still fails the residual gate of _analyze
-        return cho_solve(factor, rhs / self.scale, check_finite=False)
+        are those of rest, from the marginals on the pivot rows alone:
+        c = T_k^-1 m[pivots] / scale, by substitution a depth at a time.
+        Each marginal's mean, that of rest times n!/k!, is subtracted
+        first: span X_k is orthogonal to the constant, so this takes off
+        round-off only, and a constant rest solves to exact zeros."""
+        gather, steps = self._pivots
+        marginals = rest[gather].sum(axis=-1).T
+        marginals -= _mean(rest) * (len(rest) // factorial(self.k))
+        marginals /= self.scale
+        block = np.empty_like(marginals)
+        for forms, diagonal, columns, signs, starts in steps:
+            rhs = marginals[forms]
+            if len(columns):
+                rhs -= np.add.reduceat(signs * block[columns], starts, axis=0)
+            block[forms] = diagonal * rhs
+        return block
 
     def synthesize(self, block: np.ndarray) -> np.ndarray:
         """The function on the full rankings of the coefficients in block."""
         values = (self.x @ block).T.ravel()
         return np.bincount(self.ranking, weights=values[self.slot], minlength=self.size)
+
+
+def _mean(vec: np.ndarray) -> float:
+    """The mean of vec.  Where the sum of a finite vec overflows, the mean
+    of vec scaled by a power of two past sup|vec|, which is exact."""
+    with np.errstate(over="ignore"):
+        total = vec.sum()
+    if np.isinf(total) and np.isfinite(vec).all():
+        _, exponent = np.frexp(np.abs(vec).max())
+        return np.ldexp(np.ldexp(vec, -exponent).sum() / len(vec), exponent)
+    return total / len(vec)
 
 
 def _analyze(f: Chain, basis: WaveletBasis, allow_large: bool) -> np.ndarray:
@@ -395,20 +489,13 @@ def _analyze(f: Chain, basis: WaveletBasis, allow_large: bool) -> np.ndarray:
     too; what they leave of f is the residual gated."""
     if basis.n >= LARGE_N and not allow_large:
         raise ValueError(
-            f"full decomposition at n = {basis.n} needs allow_large=True"
+            f"full decomposition at n = {basis.n} needs allow_large=True: a process "
+            f"that builds its levels takes about {ANALYSIS_COST[basis.n]} of peak RSS"
         )
     vec = basis.chain_to_vector(f)
     basis.lu()
     coeffs = np.empty(len(vec))
-    with np.errstate(over="ignore"):
-        total = vec.sum()
-    if np.isinf(total) and np.isfinite(vec).all():
-        # the sum of a finite f overflows: take the mean of f scaled by
-        # a power of two past sup|f|, which is exact
-        _, exponent = np.frexp(np.abs(vec).max())
-        coeffs[0] = np.ldexp(np.ldexp(vec, -exponent).sum() / len(vec), exponent)
-    else:
-        coeffs[0] = total / len(vec)
+    coeffs[0] = _mean(vec)
     rest = vec - coeffs[0]
     for level in basis.levels:
         block = level.solve(rest)
@@ -442,12 +529,11 @@ def decompose(f: Chain, basis: WaveletBasis, allow_large: bool = False) -> Coeff
 
     Subset-triangular: the constant is the mean of f; then, support size
     by support size, the marginals of what is left on every k-subset are
-    solved against one Cholesky factor of G_k = X_k^T X_k (cond(X_7) = 233,
-    so cond(G_7) is about 5e4), and that level's contribution is
-    subtracted, the top level's too.  What the levels leave of f must not
-    exceed 1e-9 times the sup norm of f.  Full solves from n = LARGE_N on
-    sit behind allow_large; at n = 8 the Gram matrix of the top block
-    would exceed MAX_DENSE_ENTRIES and is refused before it is built.
+    read on X_k's pivot rows and solved by substitution in T_k (see the
+    module docstring), and that level's contribution is subtracted, the
+    top level's too.  What the levels leave of f must not exceed 1e-9
+    times the sup norm of f.  Full solves from n = LARGE_N on sit behind
+    allow_large, which names their cost (ANALYSIS_COST).
     """
     coeffs = _analyze(f, basis, allow_large)
     # the residual gate has refused a non-finite coefficient: it would make
@@ -456,7 +542,8 @@ def decompose(f: Chain, basis: WaveletBasis, allow_large: bool = False) -> Coeff
 
 
 def synthesize(c: CoefficientVector, basis: WaveletBasis) -> Chain:
-    """The chain with the given wavelet coefficients; no factor is built."""
+    """The chain with the given wavelet coefficients; no pivot table is
+    built."""
     if c.n != basis.n:
         raise ValueError(f"coefficients are for n = {c.n}, the basis for n = {basis.n}")
     rows = [basis._index.get(key, -1) for key in c.coeffs]
@@ -602,7 +689,7 @@ def synthesize_marginals(c: CoefficientVector, subsets) -> dict[frozenset[int], 
             )
         check_listable(items)
         check_scale(items, c.n)
-    forms, values = [_parse_key(key) for key in c.coeffs], list(c.coeffs.values())
+    forms, values = [c._form(key) for key in c.coeffs], list(c.coeffs.values())
     dtype = float if all(isinstance(value, float) for value in values) else object
     supports = [form.support() for form in forms]
     by_support: dict[frozenset[int], list[int]] = {}
@@ -789,7 +876,10 @@ def _decompose_checked(fam: MarginalFamily) -> CoefficientVector:
     if not np.isfinite(coeffs).all():
         raise SolverError(f"the marginal system of design {[sorted(s) for s in design]} "
                           "solves to a coefficient that is not finite")
-    return CoefficientVector._make(dict(zip(map(str, forms), coeffs.tolist())), design.n, "design")
+    keys = [str(form) for form in forms]
+    return CoefficientVector._make(
+        dict(zip(keys, coeffs.tolist())), design.n, "design", dict(zip(keys, forms))
+    )
 
 
 def marginal_residual(fam: MarginalFamily, c: CoefficientVector) -> float:

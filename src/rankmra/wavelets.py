@@ -206,6 +206,29 @@ def level_matrix(k: int) -> tuple[dict[tuple, int], np.ndarray, np.ndarray, np.n
     return {c: j for j, c in enumerate(cycles)}, *table
 
 
+def _all_left_word(cycle: tuple[int, ...]) -> list[int]:
+    """The word of cycle's chain in which every peeled maximum stands just
+    left of its predecessor: the sign ladder run backwards on the - branch
+    throughout, so its coefficient is (-1)^(len(cycle) - 1)."""
+    word = [min(cycle)]
+    for top, before in reversed(_sign_ladder(cycle)):
+        word.insert(word.index(before), top)
+    return word
+
+
+@lru_cache(maxsize=None)
+def pivot_rows(k: int) -> np.ndarray:
+    """The all-left word of each derangement form of 1..k, in X_k's column
+    order: its cycles' _all_left_words written one after another in
+    standard order, as the lexicographic rank of that word among the
+    rankings of 1..k (X_k's row).  Read-only; built once per process."""
+    column = level_matrix(k)[0]
+    words = np.array([[a for cycle in cycles for a in _all_left_word(cycle)] for cycles in column], np.int8)
+    rows = np.searchsorted(_codes(_rankings(k)), _codes(words))
+    rows.flags.writeable = False
+    return rows
+
+
 def _relabel(form: CycleForm, items) -> tuple[tuple[int, ...], ...]:
     """form's cycles relabelled onto 1..len(items), items (which hold its
     support) in the order of their labels, so that they stay standard:

@@ -628,39 +628,80 @@ def test_synth_at_n8_equals_the_wavelet_sum(tmp_path, capsys):
     assert max(abs(got[str(w)] - oracle(w)) for w in all_words(range(1, 9), 8)) <= 1e-12 * sup
 
 
-SYNTH_COST = """
+# the child's own peak RSS, in kilobytes: its ru_maxrss can hold the
+# peak of the pytest process that started it by vfork and exec
+PEAK_RSS = """
+def peak_rss_kb():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+"""
+
+SYNTH_COST = PEAK_RSS + """
 import os
-import resource
 import sys
 
 from rankmra.cli import main
 
 assert main(["synth", "--input", sys.argv[1], "--allow-large-n", "--output", os.devnull]) == 0
 assert "scipy.linalg" not in sys.modules
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)  # kilobytes on Linux
+print(peak_rss_kb())
 """
+
+
+def run_fresh(script: str, *args: str) -> tuple[float, str]:
+    """Run script in a fresh interpreter with src/ on its path: its wall
+    time, import included, and its stdout; it must exit 0."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    wall = time.perf_counter() - start
+    assert result.returncode == 0, result.stderr
+    return wall, result.stdout
 
 
 def test_synth_at_n8_cost_is_bounded(tmp_path):
     # a coefficient on every one of the 40 320 basis keys, in a fresh
     # interpreter.  Measured on a 2-core x86-64 VM (Python 3.11, numpy 2.4,
-    # scipy 1.17), five runs: 2.4-2.7 s of wall time, import included, and
-    # 199.8-199.9 MB peak RSS.  The bounds leave about 4x and 20 % of margin
+    # scipy 1.17), five runs: 2.8-3.4 s of wall time, import included, and
+    # 196.0-196.3 MB peak RSS (VmHWM).  The bounds are those set at 2.4-2.7 s
+    # and 199.8-199.9 MB
     rng = random.Random(8)
     path = tmp_path / "coeffs.json"
     keys = mra_module.basis_keys(8)
     CoefficientVector({key: rng.uniform(-1, 1) for key in keys}, 8).save(str(path))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    start = time.perf_counter()
-    result = subprocess.run(
-        [sys.executable, "-c", SYNTH_COST, str(path)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    wall = time.perf_counter() - start
-    assert result.returncode == 0, result.stderr
+    wall, out = run_fresh(SYNTH_COST, str(path))
     assert wall < 10.0
-    assert int(result.stdout) / 1024 < 240
+    assert int(out) / 1024 < 240
+
+
+ANALYSIS_COST = PEAK_RSS + """
+import random
+import sys
+
+from rankmra.mra import build_basis, decompose, synthesize
+from rankmra.words import Chain
+
+basis = build_basis(8)
+rng = random.Random(8)
+f = Chain({w: rng.gauss(0, 1) for w in basis.words}, 8)
+g = synthesize(decompose(f, basis, allow_large=True), basis)
+assert (g - f).norm_inf() <= 1e-9 * f.norm_inf()
+assert "scipy.linalg" not in sys.modules
+print(peak_rss_kb())
+"""
+
+
+def test_full_analysis_at_n8_cost_is_bounded():
+    # decompose and synthesize a seeded function at n = 8, in a fresh
+    # interpreter.  Measured on a 2-core x86-64 VM (Python 3.11, numpy 2.4,
+    # scipy 1.17), five runs: 2.4-3.4 s of wall time, import included, and
+    # 221.1-222.8 MB peak RSS.  The bounds leave about 4x and 20 % of margin
+    wall, out = run_fresh(ANALYSIS_COST)
+    assert wall < 12.0
+    assert int(out) / 1024 < 270
 
 
 def test_decompose_refuses_oversized_design(tmp_path, capsys):
@@ -955,8 +996,10 @@ for argv in (
 ):
     assert rankmra.cli.main(argv + quiet) == 0, argv
     assert "scipy.linalg" not in sys.modules, argv
-rankmra.mra.decompose(uniform_distribution(3), rankmra.mra.build_basis(3))
-assert "scipy.linalg" in sys.modules  # full analysis still factors with it
+basis = rankmra.mra.build_basis(3)
+rankmra.mra.decompose(uniform_distribution(3), basis)
+rankmra.mra.dezoom(uniform_distribution(3), 2, basis)
+assert "scipy.linalg" not in sys.modules  # full analysis factors nothing either
 print("ok")
 """
 
@@ -970,18 +1013,27 @@ def _tiny_design_dataset(tmp_path) -> tuple[str, str]:
 
 def test_commands_that_never_factor_leave_scipy_unloaded(tmp_path):
     # a fresh interpreter: scipy.linalg costs about 0.2 s of start-up, which
-    # only full analysis (decompose and dezoom of a full function) needs
+    # no command and no full analysis (decompose, dezoom) needs
     design, data = _tiny_design_dataset(tmp_path)
     coeffs = tmp_path / "coeffs.json"
     CoefficientVector({"id": 1 / 6, "(1 2)": 0.01}, 3).save(str(coeffs))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, "-c", SCIPY_GATE, design, data, str(coeffs)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "ok"
+    assert run_fresh(SCIPY_GATE, design, data, str(coeffs))[1].strip() == "ok"
+
+
+def test_decompose_parses_no_coefficient_key(tmp_path, capsys, monkeypatch):
+    # the residual check and the sorted output read the cycle forms the
+    # solve keyed its coefficients with
+    design, data = _tiny_design_dataset(tmp_path)
+
+    def refuse(*args):
+        raise AssertionError(f"parsed the key {args[-1]!r}")
+
+    mra_module._parse_key.cache_clear()
+    monkeypatch.setattr(mra_module, "_parse_key", refuse)
+    monkeypatch.setattr(CycleForm, "parse", classmethod(refuse))
+    code, out, err = run(capsys, "decompose", "--input", data, "--design", design)
+    assert code == 0, err
+    assert len(json.loads(out)["coefficients"]) == 6
 
 
 def test_decompose_assembles_one_design_subset_at_a_time(tmp_path, capsys, monkeypatch):

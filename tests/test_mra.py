@@ -10,6 +10,7 @@ from math import factorial
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,16 +134,19 @@ def test_basis_matrix_equals_embedded_wavelets(basis_for):
         assert np.array_equal(basis.matrix(), oracle)
 
 
-def test_full_analysis_refused_at_n8():
+def test_full_analysis_at_n8_runs_behind_allow_large():
     start = time.perf_counter()
     basis = build_basis(8)
     assert time.perf_counter() - start < 1.0
     assert len(basis) == factorial(8)
     with pytest.raises(ValueError, match="40320 rows and at least 40320 columns"):
         basis.matrix()
-    f = Chain.dirac(Word(tuple(range(1, 9)), 8))
-    with pytest.raises(ValueError, match="40320 rows"):
-        decompose(f, basis, allow_large=True)
+    f = random_chain(8, random.Random(8))
+    with pytest.raises(ValueError, match=r"allow_large=True: .* takes about [0-9.]+ s and [0-9]+ MB of peak RSS$"):
+        decompose(f, basis)
+    c = decompose(f, basis, allow_large=True)
+    assert (synthesize(c, basis) - f).norm_inf() <= 1e-9 * f.norm_inf()
+    assert basis._matrix is None
     # without allow_large, n = 7 is refused before its matrix is built
     seven = build_basis(7)
     with pytest.raises(ValueError, match="allow_large"):
@@ -167,21 +171,98 @@ def _against_dense_oracle(basis, f: Chain, c: np.ndarray) -> None:
         assert np.max(np.abs(zoomed - mat @ kept)) <= 1e-10 * np.max(np.abs(vec))
 
 
-def test_synthesis_at_n8_leaves_full_analysis_refused_at_once():
-    # the Gram guard runs before any level is built, also once a synthesis
-    # has built the levels without their factors
+def test_full_analysis_at_n8_after_a_synthesis():
+    # a synthesis builds the levels without their pivot tables; analysis
+    # without allow_large is still refused at once, and with it runs
     basis = build_basis(8)
     f = Chain.dirac(Word(tuple(range(1, 9)), 8))
-    for synthesized in (False, True):
-        if synthesized:
-            g = synthesize(CoefficientVector({"id": 1.0, "(2 7)": 0.5}, 8), basis)
-            # psi_(2 7) is +1 where 2 stands just before 7
-            assert g(Word((1, 2, 7, 3, 4, 5, 6, 8), 8)) == 1.5
-        for analysis in (decompose, lambda f, basis, allow_large: dezoom(f, 3, basis, allow_large)):
-            start = time.perf_counter()
-            with pytest.raises(ValueError, match="40320 rows"):
-                analysis(f, basis, allow_large=True)
-            assert time.perf_counter() - start < 1.0, synthesized
+    g = synthesize(CoefficientVector({"id": 1.0, "(2 7)": 0.5}, 8), basis)
+    # psi_(2 7) is +1 where 2 stands just before 7
+    assert g(Word((1, 2, 7, 3, 4, 5, 6, 8), 8)) == 1.5
+    assert not any("_pivots" in vars(level) for level in basis.levels)
+    dezoom3 = lambda f, basis, allow_large=False: dezoom(f, 3, basis, allow_large)
+    for analysis in (decompose, dezoom3):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="allow_large"):
+            analysis(f, basis)
+        assert time.perf_counter() - start < 1.0
+    assert (synthesize(decompose(f, basis, allow_large=True), basis) - f).norm_inf() <= 1e-9
+    # dezoom(f, 3) keeps f's marginals on the 3-subsets
+    zoomed = dezoom3(f, basis, allow_large=True)
+    for subset in ([1, 2, 3], [2, 5, 8], [6, 7, 8]):
+        assert (marginal(zoomed, subset) - marginal(f, subset)).norm_inf() <= 1e-9
+
+
+def _cholesky_analysis(f: Chain, basis) -> np.ndarray:
+    """The engine's analysis as normal equations: each level's marginals
+    on all its rows, solved against the Cholesky factor of X_k^T X_k."""
+    vec = basis.chain_to_vector(f)
+    coeffs = np.empty(len(vec))
+    coeffs[0] = vec.mean()
+    rest = vec - coeffs[0]
+    for level in basis.levels:
+        rank = mra_module._level_index(basis.n, level.k)[0].astype(np.int64)
+        slot = (rank + np.arange(level.subsets) * factorial(level.k)).ravel()
+        marginals = np.bincount(slot, weights=np.repeat(rest, level.subsets))
+        rhs = level.x.T @ marginals.reshape(level.subsets, -1).T
+        factor = scipy.linalg.cho_factor((level.x.T @ level.x).toarray())
+        block = scipy.linalg.cho_solve(factor, rhs / level.scale)
+        coeffs[level.span] = block.T.ravel()
+        rest -= level.synthesize(block)
+    return coeffs
+
+
+def test_pivot_engine_matches_a_cholesky_oracle():
+    rng = random.Random(20)
+    for n in range(3, 8):
+        basis = build_basis(n)
+        for f in (random_chain(n, rng), Chain.dirac(rng.choice(basis.words))):
+            oracle = _cholesky_analysis(f, basis)
+            got = mra_module._analyze(f, basis, allow_large=True)
+            assert np.max(np.abs(got - oracle)) <= 1e-10 * np.max(np.abs(oracle)), n
+
+
+def test_pivot_rows_make_x_k_triangular():
+    # checked independently of the engine's own checks: for k = 2..8 the
+    # all-left words are distinct, and X_k on them, with rows and columns
+    # in the engine's substitution order, is lower triangular, +-1 on its
+    # diagonal
+    for k in range(2, 9):
+        column, indptr, rows, signs = wavelets_module.level_matrix(k)
+        size = len(column)
+        pivots = wavelets_module.pivot_rows(k)
+        assert len(set(pivots.tolist())) == size
+        x = scipy.sparse.csc_array((signs, rows, indptr), shape=(factorial(k), size))
+        order = np.concatenate([step[0] for step in mra_module._pivot_plan(k)[1]])
+        assert sorted(order.tolist()) == list(range(size))
+        t = scipy.sparse.coo_array(x.tocsr()[pivots[order]][:, order])
+        assert (t.row >= t.col).all(), k
+        diagonal = t.data[t.row == t.col]
+        assert len(diagonal) == size and (np.abs(diagonal) == 1).all(), k
+
+
+@pytest.mark.parametrize("fault", ["repeated", "off the diagonal", "cyclic"])
+def test_pivot_plan_refuses_rows_that_are_not_triangular(fault, monkeypatch):
+    # k = 3: X_3's two columns, (1 2 3) and (1 3 2), of four rows each
+    column, indptr, rows, signs = wavelets_module.level_matrix(3)
+    x = np.zeros((6, 2))
+    x[rows, np.repeat([0, 1], np.diff(indptr))] = signs
+    both = np.flatnonzero((x != 0).all(axis=1))  # rows in both columns
+    if fault == "repeated":
+        pivots, message = np.array([both[0], both[0]]), "not distinct"
+    elif fault == "off the diagonal":
+        alone = np.flatnonzero((x[:, 0] == 0) & (x[:, 1] != 0))  # in column 1 only
+        pivots, message = np.array([alone[0], both[0]]), "diagonal entry other than"
+    else:
+        pivots, message = both[:2], "reaches 0 of its 2 columns"
+    pivot_rows = mra_module.pivot_rows
+    monkeypatch.setattr(mra_module, "pivot_rows", lambda k: pivots if k == 3 else pivot_rows(k))
+    mra_module._pivot_plan.cache_clear()
+    try:
+        with pytest.raises(SolverError, match=message):
+            build_basis(3).lu()
+    finally:
+        mra_module._pivot_plan.cache_clear()
 
 
 def test_subset_triangular_engine_matches_dense_oracle(basis_for):
@@ -926,15 +1007,19 @@ def test_full_analysis_takes_the_mean_of_a_finite_f_whose_sum_overflows(basis_fo
 
 
 def test_full_analysis_names_an_overflow_in_the_levels(basis_for):
-    # the mean is finite, but the level solves overflow
     basis = basis_for(5)
+    # a pair of opposite signs near the float limit: every level's
+    # marginals stay finite, and it round-trips to within an ulp of 1.7e308
     f = Chain({basis.words[0]: 1.7e308, basis.words[1]: -1.7e308}, 5)
+    assert (synthesize(decompose(f, basis), basis) - f).norm_inf() <= 2e-16 * 1.7e308
+    # a pair of one sign: the mean is finite, but the level solves overflow
+    f = Chain({basis.words[0]: 1.7e308, basis.words[1]: 1.7e308}, 5)
     with pytest.raises(SolverError, match="residual nan .* too large for the level solves"):
         decompose(f, basis)
 
 
 def test_full_analysis_refuses_a_non_finite_level_solve(basis_for, monkeypatch):
-    # the level solves skip scipy's finiteness scan; the residual gate judges
+    # the level solves check no value; the residual gate judges
     monkeypatch.setattr(
         mra_module._Level, "solve", lambda self, rest: np.full((self.forms, self.subsets), np.nan)
     )
