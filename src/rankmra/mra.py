@@ -40,8 +40,8 @@ are solved by an SVD least squares.  The result is the least-squares
 solution of the whole system, and no step forms normal equations: the
 system is not well conditioned (about 7e4 on the design above), and
 squaring that to about 5e9 would come too close to the 1e-9 agreement the
-coefficients are held to.  Only numpy is needed; scipy.sparse is imported
-by full synthesis and analysis, and nothing imports scipy.linalg.
+coefficients are held to.  Only numpy is needed: nothing here imports
+scipy.
 """
 
 from __future__ import annotations
@@ -88,8 +88,9 @@ from .words import FLOAT_PRUNE_TOL, Chain, Word, _pruned, delete
 RESIDUAL_REL_TOL = 1e-9
 # what a fresh process pays to import rankmra and build the levels of full
 # analysis, from n = LARGE_N on: wall time and peak RSS, measured on a
-# 2-core x86-64 VM (Python 3.11, numpy 2.4, scipy 1.17)
-ANALYSIS_COST = {7: "0.6 s and 65 MB", 8: "2.3 s and 205 MB"}
+# 2-core x86-64 VM (Python 3.11, numpy 2.4), five runs each: 0.39-0.54 s
+# and 43 MB at n = 7, 1.6-2.2 s and 168 MB at n = 8
+ANALYSIS_COST = {7: "0.5 s and 43 MB", 8: "2.2 s and 168 MB"}
 
 
 class ProjectivityError(ValueError):
@@ -414,24 +415,17 @@ def _pivot_plan(k: int) -> tuple[np.ndarray, list[tuple]]:
 class _Level:
     """The wavelets whose support has k items, for every k-subset at once.
 
-    x: X_k, sparse, from the triplets of level_matrix(k) in its
-    column-major order, a column per form of derangement_forms(1..k).
-    ranking, slot: from _level_index(n, k), the rankings in which subset a
-    stands together, and a * k! plus their rank on a (int32).  span: the
+    X_k is read from level_matrix(k) alone, a column per form of
+    derangement_forms(1..k); forms counts them.  ranking, slot: from
+    _level_index(n, k), the rankings in which subset a stands together,
+    and a * k! plus their rank on a (int32).  span: the
     level's coefficients in basis order, subset by subset, set by
     WaveletBasis.levels.  Synthesis reads these; solve also reads _pivots.
     """
 
     def __init__(self, n: int, k: int):
-        import scipy.sparse
-
         self.n, self.k, self.scale = n, k, factorial(n - k + 1)
-        column, indptr, rows, signs = level_matrix(k)
-        self.forms = len(column)
-        cols = np.repeat(np.arange(self.forms, dtype=np.int32), np.diff(indptr))
-        self.x = scipy.sparse.csr_array(
-            (signs.astype(float), (rows, cols)), shape=(factorial(k), self.forms)
-        )
+        self.forms = len(level_matrix(k)[0])
         rank, ranking, restricted, _ = _level_index(n, k)
         self.size, self.subsets = rank.shape
         self.ranking = ranking.ravel()
@@ -467,8 +461,16 @@ class _Level:
         return block
 
     def synthesize(self, block: np.ndarray) -> np.ndarray:
-        """The function on the full rankings of the coefficients in block."""
-        values = (self.x @ block).T.ravel()
+        """The function on the full rankings of the coefficients in block.
+        X_k block, subset by subset, straight from level_matrix(k): each
+        entry, weighted by its form's coefficient, is summed into its row
+        in X_k's column order, the order a CSR product sums it in."""
+        _, indptr, rows, signs = level_matrix(self.k)
+        weights = np.repeat(block.T, np.diff(indptr), axis=1)
+        weights *= signs
+        if self.subsets > 1:
+            rows = rows + np.arange(self.subsets)[:, None] * factorial(self.k)
+        values = np.bincount(rows.ravel(), weights=weights.ravel(), minlength=self.subsets * factorial(self.k))
         return np.bincount(self.ranking, weights=values[self.slot], minlength=self.size)
 
 

@@ -643,7 +643,7 @@ import sys
 from rankmra.cli import main
 
 assert main(["synth", "--input", sys.argv[1], "--allow-large-n", "--output", os.devnull]) == 0
-assert "scipy.linalg" not in sys.modules
+assert not [name for name in sys.modules if name.partition(".")[0] == "scipy"]
 print(peak_rss_kb())
 """
 
@@ -664,17 +664,16 @@ def run_fresh(script: str, *args: str) -> tuple[float, str]:
 
 def test_synth_at_n8_cost_is_bounded(tmp_path):
     # a coefficient on every one of the 40 320 basis keys, in a fresh
-    # interpreter.  Measured on a 2-core x86-64 VM (Python 3.11, numpy 2.4,
-    # scipy 1.17), five runs: 2.8-3.4 s of wall time, import included, and
-    # 196.0-196.3 MB peak RSS (VmHWM).  The bounds are those set at 2.4-2.7 s
-    # and 199.8-199.9 MB
+    # interpreter.  Measured on a 2-core x86-64 VM (Python 3.11, numpy 2.4),
+    # five runs: 2.3-2.8 s of wall time, import included, and 164.4-164.7 MB
+    # peak RSS (VmHWM).  The RSS bound is about 20 % above that
     rng = random.Random(8)
     path = tmp_path / "coeffs.json"
     keys = mra_module.basis_keys(8)
     CoefficientVector({key: rng.uniform(-1, 1) for key in keys}, 8).save(str(path))
     wall, out = run_fresh(SYNTH_COST, str(path))
     assert wall < 10.0
-    assert int(out) / 1024 < 240
+    assert int(out) / 1024 < 198
 
 
 ANALYSIS_COST = PEAK_RSS + """
@@ -689,19 +688,19 @@ rng = random.Random(8)
 f = Chain({w: rng.gauss(0, 1) for w in basis.words}, 8)
 g = synthesize(decompose(f, basis, allow_large=True), basis)
 assert (g - f).norm_inf() <= 1e-9 * f.norm_inf()
-assert "scipy.linalg" not in sys.modules
+assert not [name for name in sys.modules if name.partition(".")[0] == "scipy"]
 print(peak_rss_kb())
 """
 
 
 def test_full_analysis_at_n8_cost_is_bounded():
     # decompose and synthesize a seeded function at n = 8, in a fresh
-    # interpreter.  Measured on a 2-core x86-64 VM (Python 3.11, numpy 2.4,
-    # scipy 1.17), five runs: 2.4-3.4 s of wall time, import included, and
-    # 221.1-222.8 MB peak RSS.  The bounds leave about 4x and 20 % of margin
+    # interpreter.  Measured on a 2-core x86-64 VM (Python 3.11, numpy 2.4),
+    # five runs: 2.3-3.0 s of wall time, import included, and 184.3 MB peak
+    # RSS.  The bounds leave about 4x and 20 % of margin
     wall, out = run_fresh(ANALYSIS_COST)
     assert wall < 12.0
-    assert int(out) / 1024 < 270
+    assert int(out) / 1024 < 221
 
 
 def test_decompose_refuses_oversized_design(tmp_path, capsys):
@@ -975,31 +974,35 @@ def test_decompose_refuses_a_record_outside_the_design_and_a_missing_csv(tmp_pat
     assert (code, out) == (3, "") and err.startswith("rankmra: ") and "Traceback" not in err
 
 
-SCIPY_GATE = """
+NO_SCIPY = """
 import os
+import random
 import sys
 
+sys.modules["scipy"] = None  # any import of scipy or of a submodule raises
+
 import rankmra.cli
-import rankmra.mra
-from rankmra.marginals import uniform_distribution
+from rankmra.mra import build_basis, decompose, dezoom, synthesize
+from rankmra.words import Chain
 
 design, data, coeffs = sys.argv[1:]
 quiet = ["--output", os.devnull]
 for argv in (
-    ["basis", "--n", "4"],
-    ["basis", "--n", "4", "--expand"],
-    ["verify", "--n", "4"],
-    ["marginal", "--n", "4", "--uniform", "--subset", "1,2,3"],
+    ["basis", "--n", "5"],
+    ["basis", "--n", "5", "--expand"],
+    ["verify", "--n", "5"],
+    ["marginal", "--n", "5", "--uniform", "--subset", "1,2,3"],
     ["decompose", "--input", data, "--design", design],
     ["synth", "--input", coeffs],
     ["sample", "--design", design, "--input", coeffs],
 ):
     assert rankmra.cli.main(argv + quiet) == 0, argv
-    assert "scipy.linalg" not in sys.modules, argv
-basis = rankmra.mra.build_basis(3)
-rankmra.mra.decompose(uniform_distribution(3), basis)
-rankmra.mra.dezoom(uniform_distribution(3), 2, basis)
-assert "scipy.linalg" not in sys.modules  # full analysis factors nothing either
+basis = build_basis(5)
+rng = random.Random(5)
+f = Chain({w: rng.gauss(0, 1) for w in basis.words}, 5)
+assert (synthesize(decompose(f, basis), basis) - f).norm_inf() <= 1e-9 * f.norm_inf()
+dezoom(f, 3, basis)
+assert not [name for name, module in sys.modules.items() if module is not None and name.partition(".")[0] == "scipy"]
 print("ok")
 """
 
@@ -1011,13 +1014,15 @@ def _tiny_design_dataset(tmp_path) -> tuple[str, str]:
     return design, str(data)
 
 
-def test_commands_that_never_factor_leave_scipy_unloaded(tmp_path):
-    # a fresh interpreter: scipy.linalg costs about 0.2 s of start-up, which
-    # no command and no full analysis (decompose, dezoom) needs
-    design, data = _tiny_design_dataset(tmp_path)
+def test_every_command_runs_without_scipy(tmp_path, capsys):
+    # a fresh interpreter in which scipy cannot be imported: every command,
+    # and full analysis, synthesis and dezoom, need numpy alone
+    design = write_design(tmp_path, [[1, 2, 3], [2, 3, 4, 5], [1, 5]], 5)
+    data = tmp_path / "data.csv"
+    assert run(capsys, "sample", "--design", design, "--count", "3000", "--output", str(data))[0] == 0
     coeffs = tmp_path / "coeffs.json"
-    CoefficientVector({"id": 1 / 6, "(1 2)": 0.01}, 3).save(str(coeffs))
-    assert run_fresh(SCIPY_GATE, design, data, str(coeffs))[1].strip() == "ok"
+    CoefficientVector({"id": 1 / 120, "(1 2)": 0.001, "(1 2 3 4 5)": 0.0002}, 5).save(str(coeffs))
+    assert run_fresh(NO_SCIPY, design, str(data), str(coeffs))[1].strip() == "ok"
 
 
 def test_decompose_parses_no_coefficient_key(tmp_path, capsys, monkeypatch):

@@ -193,6 +193,15 @@ def test_full_analysis_at_n8_after_a_synthesis():
         assert (marginal(zoomed, subset) - marginal(f, subset)).norm_inf() <= 1e-9
 
 
+def _chain_csr(k: int) -> scipy.sparse.csr_array:
+    """X_k as a float64 CSR array, from the triplets of level_matrix(k) in
+    its column-major order: the oracle of level synthesis, and what
+    ENGINE_X_DIGESTS hash."""
+    column, indptr, rows, signs = wavelets_module.level_matrix(k)
+    cols = np.repeat(np.arange(len(column), dtype=np.int32), np.diff(indptr))
+    return scipy.sparse.csr_array((signs.astype(float), (rows, cols)), shape=(factorial(k), len(column)))
+
+
 def _cholesky_analysis(f: Chain, basis) -> np.ndarray:
     """The engine's analysis as normal equations: each level's marginals
     on all its rows, solved against the Cholesky factor of X_k^T X_k."""
@@ -204,8 +213,9 @@ def _cholesky_analysis(f: Chain, basis) -> np.ndarray:
         rank = mra_module._level_index(basis.n, level.k)[0].astype(np.int64)
         slot = (rank + np.arange(level.subsets) * factorial(level.k)).ravel()
         marginals = np.bincount(slot, weights=np.repeat(rest, level.subsets))
-        rhs = level.x.T @ marginals.reshape(level.subsets, -1).T
-        factor = scipy.linalg.cho_factor((level.x.T @ level.x).toarray())
+        x = _chain_csr(level.k)
+        rhs = x.T @ marginals.reshape(level.subsets, -1).T
+        factor = scipy.linalg.cho_factor((x.T @ x).toarray())
         block = scipy.linalg.cho_solve(factor, rhs / level.scale)
         coeffs[level.span] = block.T.ravel()
         rest -= level.synthesize(block)
@@ -289,7 +299,7 @@ def test_decompose_synthesizes_each_level_once(basis_for, monkeypatch):
 
 
 # sha256 of X_k's indptr, indices and data bytes, each after its dtype, for
-# _Level(7, k), k = 2..7: a change in the order of X_k's terms changes them
+# _chain_csr(k), k = 2..7: a change in the order of X_k's terms changes them
 ENGINE_X_DIGESTS = {
     2: "932827698d29b92ac6875d578d616146f3ef926ee057fafa1f1387fe70966bf8",
     3: "bf09a5bc5ad8f8d4e8a19f744966f7690ef2f4716d760b2795de5dc3f9812564",
@@ -302,13 +312,31 @@ ENGINE_X_DIGESTS = {
 
 def test_engine_chain_matrices_keep_their_bytes():
     for k, digest in ENGINE_X_DIGESTS.items():
-        x = _Level(7, k).x
+        x = _chain_csr(k)
         assert (x.indptr.dtype, x.indices.dtype, x.data.dtype) == (np.int32, np.int32, np.float64)
         h = hashlib.sha256()
         for a in (x.indptr, x.indices, x.data):
             h.update(a.dtype.str.encode())
             h.update(a.tobytes())
         assert h.hexdigest() == digest, k
+
+
+def test_level_synthesis_is_the_csr_product_bit_for_bit():
+    # the sums of a level's synthesis run in the order of a CSR product
+    # of X_k, so the CLI's outputs keep their bytes: every level for
+    # n = 3..7, the top two at n = 8, on seeded blocks and on one whose
+    # +-1.7e308 entries overflow to inf and nan
+    rng = np.random.default_rng(22)
+    for n in range(3, 9):
+        for k in range(7 if n == 8 else 2, n + 1):
+            level, x = _Level(n, k), _chain_csr(k)
+            shape = level.forms, level.subsets
+            for block in (rng.standard_normal(shape), rng.choice([1.7e308, -1.7e308], shape)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    values = (x @ block).T.ravel()
+                    oracle = np.bincount(level.ranking, weights=values[level.slot], minlength=level.size)
+                    got = level.synthesize(block)
+                assert np.array_equal(got, oracle, equal_nan=True), (n, k)
 
 
 def test_full_analysis_at_n7_builds_no_dense_matrix():
