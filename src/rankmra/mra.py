@@ -21,7 +21,7 @@ run at n = 8, behind allow_large.  The dense basis matrix is built only
 as a test oracle and for `verify`.
 
 One ranking index per (m, k), _level_index, serves the engine, the dense
-basis matrix, the design system and marginal synthesis.  A marginal of
+basis matrix, the design solve and marginal synthesis.  A marginal of
 psi_tau is X_k's column of tau (`wavelets.level_matrix`) read at the
 ranks of the rankings in which supp tau stands together.
 
@@ -31,17 +31,17 @@ a design subset A touch only the forms whose support lies in A, and few
 of those are held by another subset too (41 of 1450 columns on a
 seven-subset design at n = 8).  By translation covariance A's block is
 B_m, the marginal system of {1..m} at n = m (m = |A|), with its columns
-relabelled and scaled; so one inverse of B_m per subset size, built once
-per solve, serves every block of that size.  Read through it, each
-block gives A's coefficients as if A stood alone, a few rows on the
-shared columns (R^-T of a thin QR of the inverse's rows there), and the
-private coefficients once the shared ones are known.  The stacked rows
-are solved by an SVD least squares.  The result is the least-squares
+relabelled and scaled; so one batched analysis at n = m gives every
+m-subset's coefficients as if it stood alone.  By localization, B_m^-1's
+row of a form of k items is B_k^-1's row of it relabelled, read at the
+ranks on its support, over (m - k + 1)!: the analyses at n = k of the k!
+unit vectors (k <= 6) give A's rows on the shared columns, whence a few
+rows there (R^-T of a thin QR), solved by an SVD least squares, and one
+more analysis the private coefficients.  That is the least-squares
 solution of the whole system, and no step forms normal equations: the
 system is not well conditioned (about 7e4 on the design above), and
 squaring that to about 5e9 would come too close to the 1e-9 agreement the
-coefficients are held to.  Only numpy is needed: nothing here imports
-scipy.
+coefficients are held to.  Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
 from math import comb, factorial, isfinite
 from typing import Iterator
 
@@ -181,9 +181,10 @@ class WaveletBasis:
         """Columns are the wavelet functions over lexicographic full rankings:
         the marginal system of the one-subset design {1..n}."""
         if self._matrix is None:
-            design = ObservationDesign([range(1, self.n + 1)], self.n)
-            check_marginal_system(design)
-            self._matrix = _marginal_system(design, self.forms)
+            if len(self) ** 2 > MAX_DENSE_ENTRIES:
+                raise ValueError(f"the basis matrix has {len(self)} rows and at least {len(self)} columns, "
+                                 f"more than the {MAX_DENSE_ENTRIES} entries it has at n = {LARGE_N}")
+            self._matrix = _marginal_system(ObservationDesign([range(1, self.n + 1)], self.n), self.forms)
         return self._matrix
 
     @cached_property
@@ -413,7 +414,8 @@ def _pivot_plan(k: int) -> tuple[np.ndarray, list[tuple]]:
 
 
 class _Level:
-    """The wavelets whose support has k items, for every k-subset at once.
+    """The wavelets whose support has k items, for every k-subset at once,
+    and for a batch of functions on leading axes, each bit for bit as alone.
 
     X_k is read from level_matrix(k) alone, a column per form of
     derangement_forms(1..k); forms counts them.  ranking, slot: from
@@ -449,8 +451,9 @@ class _Level:
         first: span X_k is orthogonal to the constant, so this takes off
         round-off only, and a constant rest solves to exact zeros."""
         gather, steps = self._pivots
-        marginals = rest[gather].sum(axis=-1).T
-        marginals -= _mean(rest) * (len(rest) // factorial(self.k))
+        sums = np.take(rest, gather, axis=-1).sum(axis=-1)  # contiguous: the same bits in any batch
+        marginals = sums.reshape(-1, self.forms).T  # a column per subset of each batch member
+        marginals -= np.repeat(_mean(rest) * (rest.shape[-1] // factorial(self.k)), self.subsets)
         marginals /= self.scale
         block = np.empty_like(marginals)
         for forms, diagonal, columns, signs, starts in steps:
@@ -458,59 +461,74 @@ class _Level:
             if len(columns):
                 rhs -= np.add.reduceat(signs * block[columns], starts, axis=0)
             block[forms] = diagonal * rhs
-        return block
+        return np.moveaxis(block.reshape(self.forms, *rest.shape[:-1], self.subsets), 0, -2)
 
     def synthesize(self, block: np.ndarray) -> np.ndarray:
         """The function on the full rankings of the coefficients in block.
         X_k block, subset by subset, straight from level_matrix(k): each
         entry, weighted by its form's coefficient, is summed into its row
-        in X_k's column order, the order a CSR product sums it in."""
+        in X_k's column order, the order a CSR product sums it in; each
+        batch member into rows of its own."""
         _, indptr, rows, signs = level_matrix(self.k)
-        weights = np.repeat(block.T, np.diff(indptr), axis=1)
+        weights = np.repeat(np.swapaxes(block, -1, -2), np.diff(indptr), axis=-1)
         weights *= signs
-        if self.subsets > 1:
-            rows = rows + np.arange(self.subsets)[:, None] * factorial(self.k)
-        values = np.bincount(rows.ravel(), weights=weights.ravel(), minlength=self.subsets * factorial(self.k))
-        return np.bincount(self.ranking, weights=values[self.slot], minlength=self.size)
+        subsets = weights.size // len(rows)  # over the whole batch
+        if subsets > 1:
+            rows = rows + np.arange(subsets).reshape(*weights.shape[:-1], 1) * factorial(self.k)
+        values = np.bincount(rows.ravel(), weights=weights.ravel(), minlength=subsets * factorial(self.k))
+        values = np.take(values.reshape(-1, self.subsets * factorial(self.k)), self.slot, axis=-1)
+        ranking = (self.ranking + np.arange(len(values))[:, None] * self.size).ravel()
+        values = np.bincount(ranking, weights=values.ravel(), minlength=len(values) * self.size)
+        return values.reshape(*block.shape[:-2], self.size)
 
 
-def _mean(vec: np.ndarray) -> float:
-    """The mean of vec.  Where the sum of a finite vec overflows, the mean
-    of vec scaled by a power of two past sup|vec|, which is exact."""
+def _mean(vec: np.ndarray) -> np.ndarray:
+    """The mean of vec's last axis.  Where the sum of a finite vec overflows,
+    the mean of vec scaled by a power of two past sup|vec|, which is exact."""
     with np.errstate(over="ignore"):
-        total = vec.sum()
-    if np.isinf(total) and np.isfinite(vec).all():
-        _, exponent = np.frexp(np.abs(vec).max())
-        return np.ldexp(np.ldexp(vec, -exponent).sum() / len(vec), exponent)
-    return total / len(vec)
+        total = vec.sum(axis=-1)
+    if np.isinf(total).any() and np.isfinite(vec).all():
+        _, exponent = np.frexp(np.abs(vec).max(axis=-1, keepdims=True))
+        return np.ldexp(np.ldexp(vec, -exponent).sum(axis=-1) / vec.shape[-1], exponent[..., 0])
+    return total / vec.shape[-1]
 
 
-def _analyze(f: Chain, basis: WaveletBasis, allow_large: bool) -> np.ndarray:
-    """The coefficients of f in basis order, as decompose solves for them:
-    the mean, then each level, subtracted as it is solved, the top one
-    too; what they leave of f is the residual gated."""
-    if basis.n >= LARGE_N and not allow_large:
-        raise ValueError(
-            f"full decomposition at n = {basis.n} needs allow_large=True: a process "
-            f"that builds its levels takes about {ANALYSIS_COST[basis.n]} of peak RSS"
-        )
-    vec = basis.chain_to_vector(f)
+def _analysis(vec: np.ndarray, basis: WaveletBasis) -> np.ndarray:
+    """The coefficients in basis order of vec, or of each function of a batch
+    on leading axes: the mean, then each level, subtracted as it is solved.
+    What they leave of one past 1e-9 times its sup norm raises SolverError.
+    Batches of 2^16 values bound the level temporaries (720 unit vectors at
+    n = 6: 18 MB, 90 MB in one batch, about 0.25 s either way)."""
+    if vec.ndim > 1 and vec.size > 2**16:
+        per = max(1, 2**16 * len(vec) // vec.size)
+        return np.concatenate([_analysis(vec[i : i + per], basis) for i in range(0, len(vec), per)])
     basis.lu()
-    coeffs = np.empty(len(vec))
-    coeffs[0] = _mean(vec)
-    rest = vec - coeffs[0]
+    coeffs = np.empty(vec.shape)
+    coeffs[..., 0] = _mean(vec)
+    rest = vec - coeffs[..., :1]
     for level in basis.levels:
         block = level.solve(rest)
-        coeffs[level.span] = block.T.ravel()
+        coeffs[..., level.span] = np.swapaxes(block, -1, -2).reshape(*vec.shape[:-1], -1)
         rest -= level.synthesize(block)
-    residual = float(np.max(np.abs(rest)))
-    bound = RESIDUAL_REL_TOL * float(np.max(np.abs(vec)))
-    if not residual <= bound:
+    residual = np.max(np.abs(rest), axis=-1, keepdims=True)
+    bound = RESIDUAL_REL_TOL * np.max(np.abs(vec), axis=-1, keepdims=True)
+    if (failed := ~(residual <= bound)).any():
+        residual, bound = residual[failed][0], bound[failed][0]
         cause = "a level block may be ill-conditioned"
         if not np.isfinite(residual):
             cause = "a level left non-finite values, as when f is too large for the level solves"
         raise SolverError(f"solve residual {residual:.3g} exceeds {bound:.3g}; {cause}")
     return coeffs
+
+
+def _analyze(f: Chain, basis: WaveletBasis, allow_large: bool) -> np.ndarray:
+    """The coefficients of f in basis order, as decompose solves for them."""
+    if basis.n >= LARGE_N and not allow_large:
+        raise ValueError(
+            f"full decomposition at n = {basis.n} needs allow_large=True: a process "
+            f"that builds its levels takes about {ANALYSIS_COST[basis.n]} of peak RSS"
+        )
+    return _analysis(basis.chain_to_vector(f), basis)
 
 
 def _evaluate(coeffs: np.ndarray, basis: WaveletBasis) -> Chain:
@@ -571,38 +589,33 @@ def design_keys(design: ObservationDesign) -> list[str]:
     return [str(form) for form in design_forms(design)]
 
 
-def check_marginal_system(design: ObservationDesign) -> tuple[int, int, int]:
-    """What _solve_design holds for a design, counted before it is built:
-    the entries of its template inverses, then the rows and columns of the
-    reduced system on the shared columns.
+def check_marginal_system(design: ObservationDesign) -> tuple[int, int]:
+    """The rows and columns of _solve_design's reduced system on the shared
+    columns of a design, counted before any level is built.
 
-    Each subset size m brings one m! x m! template inverse (_template),
-    held until the solve returns (at m = 7, 5040^2 floats, about 200 MB),
-    counted from the sizes alone and first, as listing a subset's closure
-    takes 2^m steps.  Each support S held by h > 1 subsets brings D_|S|
-    shared columns and h * D_|S| reduced rows (D_k derangements of k
-    items, D_0 = 1 for the identity), and the right-hand side one more
-    column.  Either count over MAX_DENSE_ENTRIES raises ValueError, as
-    does a scale that overflows a float (check_scale).
+    A subset of m items is solved by the levels of n = m, so one of more
+    than LARGE_N items is refused, from the subset sizes alone and first,
+    as listing a subset's closure takes 2^m steps.  Each support S held
+    by h > 1 subsets brings D_|S| shared columns and h * D_|S| reduced
+    rows (D_k derangements of k items, D_0 = 1 for the identity), and the
+    right-hand side one more column; a count over MAX_DENSE_ENTRIES raises
+    ValueError, as does a scale that overflows a float (check_scale).
     """
     check_scale(min(design, key=len), design.n)
-    over = f"more than the {MAX_DENSE_ENTRIES} entries of the dense basis matrix at n = {LARGE_N}"
-    sizes = [factorial(len(s)) for s in design]
-    entries = sum(size * size for size in set(sizes))
-    if entries > MAX_DENSE_ENTRIES:
-        raise ValueError(
-            f"the marginal system has {sum(sizes)} rows and at least {max(sizes)} columns, "
-            f"and its template inverses, one per subset size, hold {entries} entries, {over}"
-        )
+    if len(largest := max(design, key=len)) > LARGE_N:
+        raise ValueError(f"design subset {sorted(largest)} has {len(largest)} items ({factorial(len(largest))} rows); "
+                         f"subsets of more than {LARGE_N} items need the levels of n = {LARGE_N + 1} or more, "
+                         f"about {ANALYSIS_COST[LARGE_N + 1]} of peak RSS, and are refused")
     shared = [(len(s), len(held)) for s, held in design.holders().items() if len(held) > 1]
     rows = sum(held * derangement_number(k) for k, held in shared)
     cols = 1 + sum(derangement_number(k) for k, _ in shared)
     if rows * cols > MAX_DENSE_ENTRIES:
         raise ValueError(
             f"the reduced system on the columns that design subsets share has {rows} rows "
-            f"and {cols} columns, {over}"
+            f"and {cols} columns, more than the {MAX_DENSE_ENTRIES} entries of the dense "
+            f"basis matrix at n = {LARGE_N}"
         )
-    return entries, rows, cols
+    return rows, cols
 
 
 def check_scale(items: frozenset[int], n: int) -> None:
@@ -743,90 +756,76 @@ def _marginal_system(design: ObservationDesign, forms: list[CycleForm]) -> np.nd
     return mat
 
 
-def _template(m: int) -> tuple[dict[tuple, int], np.ndarray]:
-    """The inverse of B_m, the basis matrix of S_m (the marginal system of
-    the one-subset design {1..m} at n = m): (column, inverse).  column maps
-    each form of 1..m's cycles to its column of B_m.
-
-    B_m is square and invertible.  Its 1-norm condition number, which the
-    inverse gives at once, screens it; past the cutoff eps * m!, its
-    singular values judge, and a rank below m! raises SolverError.
-    """
-    basis = build_basis(m)
-    b = basis.matrix()
-    cutoff = np.finfo(float).eps * len(b)
-    try:
-        inverse = np.linalg.inv(b)
-        screened = np.abs(b).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max() * cutoff < 1
-    except np.linalg.LinAlgError:  # an exactly singular pivot
-        inverse, screened = None, False
-    if not screened:
-        values = np.linalg.svd(b, compute_uv=False)
-        rank = int(np.count_nonzero(values > cutoff * values[0]))
-        if inverse is None or rank < len(b):
-            raise SolverError(
-                f"the marginal system template of {m}-item subsets has rank {rank} "
-                f"below dimension {len(b)}"
-            )
-    return {form.cycles: j for j, form in enumerate(basis.forms)}, inverse
+def _inverse_rows(forms: list[CycleForm], items: frozenset[int], tops: dict[int, np.ndarray]) -> np.ndarray:
+    """The rows of B_m^-1 (m = |items|) of forms held by items: by
+    localization, tops[k]'s row (B_k^-1 on X_k's forms) of the form
+    relabelled onto 1..k, read at the ranks on its support, over (m - k + 1)!."""
+    m, letters = len(items), sorted(items)
+    rows = np.full((len(forms), factorial(m)), 1 / factorial(m))  # the identity's row
+    for i, form in enumerate(forms):
+        if form.cycles:
+            support = form.support()
+            rank, _, _, subset = _level_index(m, len(support))
+            top = tops[len(support)][level_matrix(len(support))[0][_relabel(form, support)]]
+            at = subset[tuple(x for x, b in enumerate(letters) if b in support)]
+            rows[i] = top[rank[:, at]] / factorial(m - len(support) + 1)
+    return rows
 
 
 def _solve_design(design: ObservationDesign, forms: list[CycleForm], rhs: np.ndarray) -> np.ndarray:
     """The least-squares solution of _marginal_system(design, forms) against
-    rhs (rows in design order), solved one design subset at a time from
-    one template inverse per subset size, built for this call.
+    rhs (rows in design order), solved a subset size at a time by the
+    levels of n = m, with no block assembled and no inverse of one formed.
 
     Design subset A (m items) has the block M_A = B_m[:, at] D: at maps A's
-    forms, relabelled onto 1..m by cycle form, to the columns of B_m
-    (_template), and D holds their marginal scales.  So M_A^-1 is D^-1
-    times the rows at of B_m^-1, and z_A = M_A^-1 b_A is A's coefficients
-    as if A stood alone.  A's columns are private, held by A alone, or
-    shared with another subset.  With the shared ones at s, A's least
-    misfit is |R^-T (s - z_S)|, where W_S^T = QR and W_S is M_A^-1's rows
-    on the shared columns; the private coefficients that reach it are
-    z_P - W_P Q R^-T (z_S - s).  The stacked rows R^-T (s - z_S) are solved
-    by SVD least squares, whose cutoff is eps * max(shape) of the whole
-    system, relative to their largest singular value.  The rank is the
-    number of private columns plus the reduced rank, and a rank below the
-    number of forms raises SolverError, as does a singular template.
+    forms, relabelled onto 1..m by cycle form, to the columns of B_m, and D
+    holds their marginal scales.  So M_A^-1 is D^-1 times the rows at of
+    B_m^-1, and D z_A, A's coefficients as if it stood alone, is the
+    analysis of b_A.  With the columns A shares with another subset at s,
+    A's least misfit is |R^-T (s - z_S)|, where W_S^T = QR and W_S, M_A^-1's
+    rows there, is read from the top-level rows of B_k^-1 (_inverse_rows);
+    A's private coefficients that reach it are D_P^-1 times the analysis
+    of b_A - Q R^-T (D_S z_S - D_S s).  The stacked rows R^-T (s - z_S) are
+    solved by SVD least squares, whose cutoff is eps * max(shape) of the
+    whole system, relative to their largest singular value.  The rank is
+    the number of private columns plus the reduced rank, and a rank below
+    the number of forms raises SolverError.
     """
     cond = np.finfo(float).eps * max(len(rhs), len(forms))
     supports = [form.support() for form in forms]
     holders = design.holders()
-    columns: list[list[int]] = [[] for _ in design]  # each subset's forms, basis order
+    columns: dict[frozenset[int], list[int]] = {items: [] for items in design}  # basis order
     for j, support in enumerate(supports):
         for a in holders[support]:
-            columns[a].append(j)
+            columns[design.subsets[a]].append(j)
     shared = [j for j, support in enumerate(supports) if len(holders[support]) > 1]
     reduced_column = {j: i for i, j in enumerate(shared)}
-    try:
-        templates = {m: _template(m) for m in sorted({len(items) for items in design})}
-    except SolverError as exc:
-        raise SolverError(f"{exc} for design {[sorted(s) for s in design]}") from None
-    rank, reduced, lifts, offset = 0, [], [], 0
-    for items, held in zip(design, columns):
-        column, inverse = templates[len(items)]
-        private = [j for j in held if j not in reduced_column]
-        mine = [j for j in held if j in reduced_column]
-        order = private + mine
-        at = np.array([column[_relabel(forms[j], items)] for j in order])
-        scale = np.array([float(_marginal_scale(design.n, len(items), len(supports[j]))) for j in order])
-        # D z_A: A's coefficients as if it stood alone, in template units
-        z = (inverse @ rhs[offset : offset + len(order)])[at]
-        offset += len(order)
-        p = len(private)
-        rank += p
-        lift = np.zeros((p, 0))
-        if mine:
-            # W_S^T is the template's rows at[p:], times D_S^-1; so with
-            # their QR, A's reduced rows are R^-T (D_S s - D_S z_S)
-            q, r = np.linalg.qr(inverse[at[p:]].T)
+    sizes = {len(supports[j]) for j in shared} - {0}
+    bases = {m: build_basis(m) for m in sizes | {len(items) for items in design}}
+    tops = {k: _analysis(np.eye(factorial(k)), bases[k])[:, bases[k].levels[-1].span].T for k in sizes}
+    rank, reduced, solved, offset = 0, [], [], 0
+    for m, group in groupby(design, key=len):  # the design is in size order
+        group, basis = list(group), bases[m]
+        b = rhs[offset : offset + len(group) * factorial(m)].reshape(len(group), -1).copy()
+        offset += b.size
+        position = {form.cycles: j for j, form in enumerate(basis.forms)}
+        parts = []
+        for items, z in zip(group, _analysis(b, basis)):
+            private = [j for j in columns[items] if j not in reduced_column]
+            mine = [j for j in columns[items] if j in reduced_column]
+            at = np.array([position[_relabel(forms[j], items)] for j in private + mine])
+            scale = np.array([float(_marginal_scale(design.n, m, len(supports[j]))) for j in private + mine])
+            p, z = len(private), z[at]
+            rank += p
+            # W_S^T is Q R times D_S^-1, so A's reduced rows are R^-T (D_S s
+            # - D_S z_S); with no shared column, Q and R are empty
+            q, r = np.linalg.qr(_inverse_rows([forms[j] for j in mine], items, tops).T)
             rows = np.linalg.inv(r).T
             part = np.zeros((len(mine), len(shared) + 1))  # last column: right-hand side
             part[:, [reduced_column[j] for j in mine] + [-1]] = np.column_stack((rows * scale[p:], rows @ z[p:]))
             reduced.append(part)
-            lift = inverse[at[:p]] @ q @ rows  # D_P W_P Q R^-T D_S^-1
-        lifts.append((private, mine, z, scale, lift))
+            parts.append((private, at[:p], scale[:p], mine, q, rows, z[p:], scale[p:]))
+        solved.append((basis, b, parts))
     coeffs = np.empty(len(forms))
     if shared:
         stacked = np.vstack(reduced)
@@ -837,9 +836,11 @@ def _solve_design(design: ObservationDesign, forms: list[CycleForm], rhs: np.nda
             f"marginal system rank {rank} below dimension {len(forms)} "
             f"for design {[sorted(s) for s in design]}"
         )
-    for private, mine, z, scale, lift in lifts:
-        p = len(private)
-        coeffs[private] = (z[:p] - lift @ (z[p:] - scale[p:] * coeffs[mine])) / scale[:p]
+    for basis, b, parts in solved:
+        for row, (*_, mine, q, rows, z, scale) in zip(b, parts):
+            row -= q @ (rows @ (z - scale * coeffs[mine]))
+        for z, (private, at, scale, *_) in zip(_analysis(b, basis), parts):
+            coeffs[private] = z[at] / scale
     return coeffs
 
 
@@ -848,15 +849,15 @@ def decompose_marginals(
 ) -> CoefficientVector:
     """Expand an observed marginal family over the design-observable wavelets.
 
-    What the solve holds is sized first (check_marginal_system), and
-    the family must be projective at the given tolerance.  The system is
-    never assembled: each design subset's block is read from the inverse
-    of its size's template (_template), and the few rows left on the
-    columns that subsets share are solved by SVD least squares
-    (_solve_design).  No step squares the system's condition number
-    (about 7e4 on the bench design at n = 8), so the error stays near
-    cond * eps.  A rank-deficient system or template for a valid design is
-    an internal error and raises SolverError with the rank and the design.
+    What the solve holds is sized first (check_marginal_system), and the
+    family must be projective at the given tolerance.  The system is never
+    assembled: the levels of n = m analyse all m-subsets' blocks at once,
+    the few rows left on the columns that subsets share, read through the
+    small inverses' rows by localization, are solved by SVD least squares,
+    and one more analysis gives the private coefficients (_solve_design).
+    No step squares the system's condition number (about 7e4 on the bench
+    design at n = 8), so the error stays near cond * eps.  A rank-deficient
+    system for a valid design raises SolverError with the rank and design.
     """
     check_marginal_system(fam.design)
     report = check_projective(fam, projectivity_tol)

@@ -34,7 +34,7 @@ from .words import Chain, Word, _accumulate, content, diamond
 # Scale policy of the package, imported by every module that needs it.
 MAX_N = 8  # the largest n whose full rankings are ever listed
 LARGE_N = 7  # the first n behind allow_large / --allow-large-n
-MAX_DENSE_ENTRIES = factorial(LARGE_N) ** 2  # every dense system, full or design
+MAX_DENSE_ENTRIES = factorial(LARGE_N) ** 2  # the dense basis matrix and the reduced design system
 
 _chain_cache: dict[tuple[int, tuple], Chain] = {}
 

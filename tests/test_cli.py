@@ -40,7 +40,8 @@ from rankmra import mra as mra_module
 from rankmra import wavelets as wavelets_module
 from rankmra.cli import main
 from rankmra.marginals import all_words
-from rankmra.mra import check_marginal_system
+from rankmra.marginals import empirical_marginals, read_rankings_csv
+from rankmra.mra import check_marginal_system, marginal_residual
 from rankmra.perms import derangement_forms
 
 GOLDEN = Path(__file__).parent / "golden" / "s4_basis.txt"
@@ -704,26 +705,47 @@ def test_full_analysis_at_n8_cost_is_bounded():
 
 
 def test_decompose_refuses_oversized_design(tmp_path, capsys):
-    # 7! + 2 rows by at least 7! columns: over the dense n = 7 matrix
-    design = write_design(tmp_path, [list(range(1, 8)), [1, 8]], 8)
+    # an 8-item subset would need the levels of n = 8, whose cost is named
+    design = write_design(tmp_path, [list(range(1, 9)), [1, 8]], 8)
     data = tmp_path / "data.csv"
-    data.write_text("1,2,3,4,5,6,7\n8,1\n")
+    data.write_text("1,2,3,4,5,6,7,8\n8,1\n")
     code, out, err = run(capsys, "decompose", "--input", str(data), "--design", design)
     assert code == 2
-    assert "5042 rows" in err and "Traceback" not in err
-    assert out == ""
+    assert "has 8 items (40320 rows)" in err and mra_module.ANALYSIS_COST[8] in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_decompose_accepts_a_seven_item_subset_beside_a_pair(tmp_path, capsys):
+    # 7! + 2 rows: the n = 7 levels solve the 7-item subset, and only the
+    # identity is shared.  Each of 400 seeded full rankings of 1..8 is
+    # observed on both subsets, so the counts are f's exact marginals
+    rng = random.Random(7)
+    rankings = [rng.sample(range(1, 9), 8) for _ in range(400)]
+    subsets = [list(range(1, 8)), [1, 8]]
+    design = write_design(tmp_path, subsets, 8)
+    data = tmp_path / "data.csv"
+    data.write_text("".join(
+        ",".join(str(a) for a in r if a in s) + "\n" for r in rankings for s in subsets
+    ))
+    output = tmp_path / "coeffs.json"
+    code, _, err = run(capsys, "decompose", "--input", str(data), "--design", design, "--output", str(output))
+    assert code == 0, err
+    fam = empirical_marginals(read_rankings_csv(str(data), 8), ObservationDesign(subsets, 8))
+    coeffs = CoefficientVector.load(str(output))
+    assert len(coeffs.coeffs) == factorial(7) + 1
+    assert marginal_residual(fam, coeffs) <= 1e-9 * max(fam[s].norm_inf() for s in fam)
 
 
 def test_decompose_accepts_a_design_over_fifty_items(tmp_path, capsys):
     # 200 five-item subsets of 1..50: the whole system would be 24 000 x
-    # 22 548, but one 120 x 120 template inverse serves every block, and the
+    # 22 548, but one batched analysis at n = 5 serves every block, and the
     # columns they share leave a reduced system of 2 262 x 811
     rng = random.Random(0)
     subsets = set()
     while len(subsets) < 200:
         subsets.add(frozenset(rng.sample(range(1, 51), 5)))
     design = write_design(tmp_path, [sorted(s) for s in subsets], 50)
-    assert check_marginal_system(ObservationDesign(subsets, 50)) == (120**2, 2262, 811)
+    assert check_marginal_system(ObservationDesign(subsets, 50)) == (2262, 811)
     data = tmp_path / "data.csv"
     assert run(capsys, "sample", "--design", design, "--count", "4000", "--output", str(data))[0] == 0
     code, out, err = run(capsys, "decompose", "--input", str(data), "--design", design)
@@ -1041,20 +1063,17 @@ def test_decompose_parses_no_coefficient_key(tmp_path, capsys, monkeypatch):
     assert len(json.loads(out)["coefficients"]) == 6
 
 
-def test_decompose_assembles_one_design_subset_at_a_time(tmp_path, capsys, monkeypatch):
-    # the template solve never builds the design system, nor a block of it:
-    # _marginal_system builds one template per subset size, the one-subset
-    # design {1..m} at n = m
+def test_decompose_builds_no_dense_matrix(tmp_path, capsys, monkeypatch):
+    # the levels solve every design block: the CLI never builds the design
+    # system, a block of it, or a basis matrix
     design, data = _tiny_design_dataset(tmp_path)
-    built = []
-    system = mra_module._marginal_system
     monkeypatch.setattr(
-        mra_module, "_marginal_system",
-        lambda design, forms: built.append(design.to_json()) or system(design, forms),
+        mra_module, "_marginal_system", lambda *args: pytest.fail("assembled a marginal system")
     )
-    code, _, err = run(capsys, "decompose", "--input", data, "--design", design)
+    monkeypatch.setattr(WaveletBasis, "matrix", lambda self: pytest.fail(f"built B_{self.n}"))
+    code, out, err = run(capsys, "decompose", "--input", data, "--design", design)
     assert code == 0, err
-    assert built == [{"n": 2, "design": [[1, 2]]}, {"n": 3, "design": [[1, 2, 3]]}]
+    assert len(json.loads(out)["coefficients"]) == 6
 
 
 def test_decompose_checks_projectivity_once(tmp_path, capsys, monkeypatch):
@@ -1078,21 +1097,3 @@ def test_decompose_refuses_a_nan_fit_residual(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "decompose", "--input", data, "--design", design)
     assert (code, out) == (5, "")
     assert err.endswith("fit residual (sup norm): nan\nrankmra: residual nan exceeds tolerance 0.1\n")
-
-
-def test_decompose_exits_5_on_a_singular_template(tmp_path, capsys, monkeypatch):
-    design, data = _tiny_design_dataset(tmp_path)
-    system = mra_module._marginal_system
-
-    def zeroed(design, forms):
-        mat = system(design, forms)
-        mat[:, -1] = 0  # the last form of 1..m
-        return mat
-
-    monkeypatch.setattr(mra_module, "_marginal_system", zeroed)
-    code, out, err = run(capsys, "decompose", "--input", data, "--design", design)
-    assert (code, out) == (5, "")
-    assert err.endswith(
-        "rankmra: the marginal system template of 2-item subsets has rank 1 below dimension 2 "
-        "for design [[1, 2], [1, 2, 3]]\n"
-    )

@@ -43,8 +43,13 @@ from rankmra import mra as mra_module
 from rankmra import wavelets as wavelets_module
 from rankmra.marginals import all_words
 from rankmra.mra import (
+    ANALYSIS_COST,
     SolverError,
+    WaveletBasis,
+    _analysis,
+    _inverse_rows,
     _Level,
+    _level_index,
     _marginal_system,
     _solve_design,
     basis_keys,
@@ -337,6 +342,58 @@ def test_level_synthesis_is_the_csr_product_bit_for_bit():
                     oracle = np.bincount(level.ranking, weights=values[level.slot], minlength=level.size)
                     got = level.synthesize(block)
                 assert np.array_equal(got, oracle, equal_nan=True), (n, k)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_levels_solve_and_synthesize_a_batch_bit_for_bit(n):
+    # a batch of right-hand sides (leading axes) gives, member by member,
+    # exactly what one call per member gives
+    rng = np.random.default_rng(n)
+    basis = build_basis(n).lu()
+    rest = rng.standard_normal((3, 2, factorial(n)))
+    for level in basis.levels:
+        block = level.solve(rest)
+        assert block.shape == (3, 2, level.forms, level.subsets)
+        synthesized = level.synthesize(block)
+        assert synthesized.shape == rest.shape
+        for i, j in np.ndindex(3, 2):
+            assert np.array_equal(block[i, j], level.solve(rest[i, j])), (n, level.k)
+            assert np.array_equal(synthesized[i, j], level.synthesize(block[i, j])), (n, level.k)
+    coeffs = _analysis(rest, basis)
+    for i, j in np.ndindex(3, 2):
+        assert np.array_equal(coeffs[i, j], _analysis(rest[i, j], basis))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_inverse_rows_localize(m):
+    # row tau of B_m^-1 is the row of B_k^-1 of tau relabelled onto 1..k
+    # (k = |supp tau|), read at each ranking's rank on supp tau and divided
+    # by (m - k + 1)!; the identity's row is 1/m!.  The inverses here are
+    # the oracle, and _inverse_rows, which reads the small rows from the
+    # levels, must match them too
+    basis = build_basis(m)
+    inverse = np.linalg.inv(basis.matrix())
+    small = {k: build_basis(k) for k in range(2, m + 1)}
+    inverses = {k: np.linalg.inv(b.matrix()) for k, b in small.items()}
+    tops = {}
+    for k, b in small.items():
+        tops[k] = _analysis(np.eye(factorial(k)), b)[:, b.levels[-1].span].T
+    items = frozenset(range(1, m + 1))
+    for tau, row in zip(basis.forms, inverse):
+        support = sorted(tau.support())
+        k = len(support)
+        if k == 0:
+            expected = np.full(factorial(m), 1 / factorial(m))
+        else:
+            label = {b: i for i, b in enumerate(support, 1)}
+            relabelled = CycleForm(tuple(tuple(label[b] for b in c) for c in tau.cycles))
+            j = small[k].forms.index(relabelled)
+            rank, _, _, subset = _level_index(m, k)
+            expected = inverses[k][j, rank[:, subset[tuple(b - 1 for b in support)]]] / factorial(m - k + 1)
+        scale = np.max(np.abs(row))
+        assert np.max(np.abs(row - expected)) <= 1e-12 * scale, (m, str(tau))
+        got = _inverse_rows([tau], items, tops)[0]
+        assert np.max(np.abs(got - row)) <= 1e-12 * scale, (m, str(tau))
 
 
 def test_full_analysis_at_n7_builds_no_dense_matrix():
@@ -743,7 +800,7 @@ def test_decompose_marginals_matches_svd_oracle():
 
 def _refused_before_any_block(design, match, monkeypatch):
     """check_marginal_system refuses design, and so does decompose_marginals,
-    before any block of the system is assembled."""
+    before any level is built or any block of the system assembled."""
     with pytest.raises(ValueError, match=match):
         check_marginal_system(design)
     fam = MarginalFamily(
@@ -752,6 +809,9 @@ def _refused_before_any_block(design, match, monkeypatch):
     monkeypatch.setattr(
         mra_module, "_marginal_system",
         lambda design, forms: pytest.fail(f"assembled {len(forms)} columns of {design.to_json()}"),
+    )
+    monkeypatch.setattr(
+        mra_module._Level, "__init__", lambda self, n, k: pytest.fail(f"built level {k} of n = {n}")
     )
     with pytest.raises(ValueError, match=match):
         decompose_marginals(fam)
@@ -765,9 +825,8 @@ def test_check_marginal_system_guard(monkeypatch):
     forms = design_forms(design)
     held = [sum(form.support() <= s for s in design) for form in forms]
     shared = [h for h in held if h > 1]
-    # one template inverse per subset size (6, 4 and 3), then the reduced
-    # rows and columns (with b)
-    assert check_marginal_system(design) == (720**2 + 24**2 + 6**2, 272, 134)
+    # the reduced rows and columns (with b)
+    assert check_marginal_system(design) == (272, 134)
     assert (sum(shared), 1 + len(shared)) == (272, 134)
     # ... which are the rows and columns _solve_design stacks on the shared forms
     stacked = []
@@ -778,13 +837,14 @@ def test_check_marginal_system_guard(monkeypatch):
     _solve_design(design, forms, np.random.default_rng(0).normal(size=2 * 720 + 24 + 6 + 24))
     assert stacked == [(272, 133)]
     monkeypatch.undo()
-    # the whole n = 7 space fills the block bound exactly, and shares nothing
+    # a 7-item subset is solved by the n = 7 levels, beside any other size
     seven = ObservationDesign([range(1, 8)], n)
-    assert check_marginal_system(seven) == (5040**2, 0, 1)
-    # one more pair tips the templates over, counted from the subset sizes
-    over = ObservationDesign([range(1, 8), [1, 8]], n)
-    _refused_before_any_block(over, "5042 rows .* hold 25401604 entries", monkeypatch)
-    # every 6-subset of 1..8: one template of 720^2 fits, but their shared
+    assert check_marginal_system(seven) == (0, 1)
+    assert check_marginal_system(ObservationDesign([range(1, 8), [1, 8]], n)) == (2, 2)
+    # an 8-item subset would need the n = 8 levels: refused from its size
+    over = ObservationDesign([range(1, 9), [1, 8]], n)
+    _refused_before_any_block(over, r"has 8 items \(40320 rows\).*" + ANALYSIS_COST[8], monkeypatch)
+    # every 6-subset of 1..8: each is solved by the n = 6 levels, but their shared
     # forms leave a reduced system of 12 740 x 3 236 (41 226 640 entries)
     sixes = ObservationDesign(combinations(range(1, 9), 6), n)
     _refused_before_any_block(sixes, "12740 rows and 3236 columns", monkeypatch)
@@ -795,13 +855,13 @@ def test_check_marginal_system_guard(monkeypatch):
         lambda items: pytest.fail(f"walked the closure of {len(items)} items"),
     )
     big = ObservationDesign([range(1, 31)], 30)
-    with pytest.raises(ValueError, match="template inverses, one per subset size"):
+    with pytest.raises(ValueError, match=r"has 30 items .* more than 7 items .* are refused"):
         check_marginal_system(big)
 
 
 def test_decompose_marginals_recovers_coefficients_on_thirty_items():
     # 50 five-item subsets of 1..30: a 6000 x 5678 system whose columns
-    # are mostly private to one subset; one 120 x 120 template serves them
+    # are mostly private to one subset; one batched n = 5 analysis serves them
     rng = random.Random(1)
     subsets = set()
     while len(subsets) < 50:
@@ -810,7 +870,7 @@ def test_decompose_marginals_recovers_coefficients_on_thirty_items():
     design = ObservationDesign(subsets, n)
     keys = design_keys(design)
     assert len(keys) == 5678
-    assert check_marginal_system(design) == (120**2, 536, 215)
+    assert check_marginal_system(design) == (536, 215)
 
     def scale(key):  # the marginal of psi_key on a five-item subset holding it
         k = len(CycleForm.parse(key).support())
@@ -942,62 +1002,53 @@ def test_design_solve_matches_gelsy_on_random_designs(drawn, seed):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_design_solve_matches_gelsy_on_labels_above_9(seed):
-    # derangement_forms is in text order past label 9, so the template
-    # columns are found by relabelled cycle form, not by position
+    # derangement_forms is in text order past label 9, so the columns of
+    # B_m are found by relabelled cycle form, not by position
     design = _relabelled(BENCH_TEMPLATE, 15, seed)
     assert max(max(s) for s in design) > 9
     _assert_matches_gelsy(design, seed)
     _assert_matches_gelsy(ObservationDesign([[8, 9, 10, 11], [9, 10, 12, 15], [3, 12, 14], [10, 11]], 15), seed)
 
 
-def test_design_solve_builds_one_template_per_subset_size(monkeypatch):
+def test_design_solve_builds_no_dense_matrix(monkeypatch):
+    # the decompose path reads every block through the levels: it never
+    # assembles a marginal system nor builds a basis matrix, and inverts
+    # only the R factors of the shared columns (41 on this design)
     design = _relabelled(BENCH_TEMPLATE, 8, 4)  # subsets of 6, 6, 4, 4, 3, 2 and 2 items
-    built = []
-    system = mra_module._marginal_system
     monkeypatch.setattr(
-        mra_module, "_marginal_system",
-        lambda design, forms: built.append((design.n, len(forms))) or system(design, forms),
+        mra_module, "_marginal_system", lambda *args: pytest.fail("assembled a marginal system")
     )
-    forms = design_forms(design)
-    rhs = np.random.default_rng(4).normal(size=2 * 720 + 2 * 24 + 6 + 2 * 2)
-    _solve_design(design, forms, rhs)
-    assert built == [(2, 2), (3, 6), (4, 24), (6, 720)]
+    monkeypatch.setattr(WaveletBasis, "matrix", lambda self: pytest.fail(f"built B_{self.n}"))
+    inverted = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(len(a)) or inv(a))
+    f = CoefficientVector({"id": 1 / factorial(8), "(1 2)": 1e-6, "(3 4 5)": -2e-7}, 8)
+    fam = MarginalFamily(synthesize_marginals(f, design), design)
+    got = decompose_marginals(fam)
+    assert max(inverted) <= len(_shared_forms(design)) == 41
+    assert marginal_residual(fam, got) <= 1e-9 * max(fam[s].norm_inf() for s in design)
 
 
-@pytest.mark.parametrize("key", ["(1 2)", "(2 3)"])  # private to [1, 2, 3]; shared
+@pytest.mark.parametrize("key", ["(2 3)"])  # shared by [1, 2, 3] and [2, 3, 4]
 def test_decompose_marginals_reports_a_rank_shortfall(key, monkeypatch):
-    # a private column falls short in its size's template, which both
-    # subsets read; a shared one in the stacked reduced rows.  Either way
+    # a shared column that falls short in the stacked reduced rows:
     # SolverError names the rank and the design
     design = ObservationDesign([[1, 2, 3], [2, 3, 4]], 4)
     shared = _shared_forms(design)
     assert shared == ["id", "(2 3)"]
     fam = exact_marginals(uniform_distribution(4), design)
     named = r" for design \[\[1, 2, 3\], \[2, 3, 4\]\]$"
-    if key in shared:
-        lstsq = np.linalg.lstsq
+    lstsq = np.linalg.lstsq
 
-        def zeroed(a, b, rcond):
-            a = a.copy()
-            a[:, shared.index(key)] = 0
-            return lstsq(a, b, rcond=rcond)
+    def zeroed(a, b, rcond):
+        a = a.copy()
+        a[:, shared.index(key)] = 0
+        return lstsq(a, b, rcond=rcond)
 
-        monkeypatch.setattr(mra_module.np.linalg, "lstsq", zeroed)
-        # the 8 private columns and the identity's
-        with pytest.raises(SolverError, match="^marginal system rank 9 below dimension 10" + named):
-            decompose_marginals(fam)
-        return
-    system = mra_module._marginal_system
-    for factor in (0.0, 1e-20):  # a zero column, and one too small to count
-
-        def scaled(design, forms):
-            mat = system(design, forms)
-            mat[:, [str(f) == key for f in forms]] *= factor
-            return mat
-
-        monkeypatch.setattr(mra_module, "_marginal_system", scaled)
-        with pytest.raises(SolverError, match="template of 3-item subsets has rank 5 below dimension 6" + named):
-            decompose_marginals(fam)
+    monkeypatch.setattr(mra_module.np.linalg, "lstsq", zeroed)
+    # the 8 private columns and the identity's
+    with pytest.raises(SolverError, match="^marginal system rank 9 below dimension 10" + named):
+        decompose_marginals(fam)
 
 
 def test_design_path_reads_each_chain_once(monkeypatch):
